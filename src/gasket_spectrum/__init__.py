@@ -7,6 +7,8 @@ three-regime spectrum), geometry (cylinder point clouds and rendering),
 cli (command-line front end).
 """
 
+__version__ = "0.1.0"  # the one version string; pyproject.toml reads it
+
 from .bases import BaseValue, RegimeLabel, base_root, classify, kl_constant, ladder_word
 from .expansions import (
     KLTailDescriptor,
@@ -31,8 +33,6 @@ from .spectrum import (
     zero_fraction,
 )
 from .words import Seq, parse_seq, format_seq, reflect, tm_block, tm_diff, thue_morse_bit
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BaseValue", "RegimeLabel", "base_root", "classify", "kl_constant", "ladder_word",

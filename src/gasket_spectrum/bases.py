@@ -22,10 +22,10 @@ n >= 2, so this terminates).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
@@ -120,8 +120,12 @@ def require_working_base(b: BaseValue) -> BaseValue:
 # Ladder words
 # ---------------------------------------------------------------------------
 
-_ladder_cache: dict[int, Word] = {}
-_ladder_lock = threading.Lock()
+@cache
+def _ladder(n: int) -> Word:
+    if n == 1:
+        return (2,)
+    w = _ladder(n - 1)
+    return inc_last(w + reflect2(w), alphabet_max=2)
 
 
 def ladder_word(n: int, max_index: int | None = None) -> LadderWord:
@@ -132,15 +136,7 @@ def ladder_word(n: int, max_index: int | None = None) -> LadderWord:
         raise DomainError("ladder index must be >= 1")
     if n > cap:
         raise PrecisionError(f"ladder index {n} exceeds cap {cap}")
-    with _ladder_lock:
-        if n not in _ladder_cache:
-            hi = max(_ladder_cache) if _ladder_cache else 0
-            w = _ladder_cache.get(hi, (2,))
-            for k in range(max(hi, 1), n):
-                w = inc_last(w + reflect2(w), alphabet_max=2)
-                _ladder_cache[k + 1] = w
-            _ladder_cache.setdefault(1, (2,))
-        return LadderWord(n, _ladder_cache[n])
+    return LadderWord(n, _ladder(n))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +189,21 @@ def _certified_sign(valfn, mid: Decimal, prec: int) -> int:
     raise PrecisionError("sign of ladder value could not be certified")
 
 
-_root_cache: dict[tuple[int, int], BaseValue] = {}
-_root_lock = threading.Lock()
+@cache
+def _root(n: int, digits: int) -> BaseValue:
+    prec = digits + 30
+    target = Decimal(10) ** (-digits)
+    lo, hi = Decimal(2), Decimal(3)
+    valfn = lambda q: _ladder_value_dec(q, n)
+    with localcontext() as ctx:
+        ctx.prec = prec + 10
+        while hi - lo > target:
+            mid = (lo + hi) / 2
+            if _certified_sign(valfn, mid, prec) > 0:  # V > 1: left of root
+                lo = mid
+            else:
+                hi = mid
+    return BaseValue(Fraction(lo), Fraction(hi), ladder_index=n)
 
 
 def base_root(n: int, tolerance: float | None = None,
@@ -211,27 +220,7 @@ def base_root(n: int, tolerance: float | None = None,
     if n == 1:
         return BaseValue(Fraction(2), Fraction(2), ladder_index=1)
     tol = config.tolerance if tolerance is None else tolerance
-    digits = _width_digits(n, tol, config.ladder_digits_cap)
-    key = (n, digits)
-    with _root_lock:
-        if key in _root_cache:
-            return _root_cache[key]
-    prec = digits + 30
-    target = Decimal(10) ** (-digits)
-    lo, hi = Decimal(2), Decimal(3)
-    valfn = lambda q: _ladder_value_dec(q, n)
-    with localcontext() as ctx:
-        ctx.prec = prec + 10
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            if _certified_sign(valfn, mid, prec) > 0:  # V > 1: left of root
-                lo = mid
-            else:
-                hi = mid
-    out = BaseValue(Fraction(lo), Fraction(hi), ladder_index=n)
-    with _root_lock:
-        _root_cache[key] = out
-    return out
+    return _root(n, _width_digits(n, tol, config.ladder_digits_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +252,20 @@ def _limit_word_sign(q: Decimal, prec: int) -> int:
     raise PrecisionError("Komornik-Loreti sign could not be certified")
 
 
-_kl_cache: dict[int, BaseValue] = {}
-_kl_lock = threading.Lock()
+@cache
+def _kl(digits: int) -> BaseValue:
+    prec = digits + 30
+    target = Decimal(10) ** (-digits)
+    lo, hi = Decimal("2.5"), Decimal("2.6")
+    with localcontext() as ctx:
+        ctx.prec = prec + 10
+        while hi - lo > target:
+            mid = (lo + hi) / 2
+            if _limit_word_sign(mid, prec) > 0:
+                lo = mid
+            else:
+                hi = mid
+    return BaseValue(Fraction(lo), Fraction(hi), is_kl=True)
 
 
 def kl_constant(tolerance: float | None = None,
@@ -291,24 +292,7 @@ def kl_constant(tolerance: float | None = None,
         raise PrecisionError(
             f"tolerance {float(tol)} needs {digits} digits, beyond cap "
             f"{config.ladder_digits_cap}")
-    with _kl_lock:
-        if digits in _kl_cache:
-            return _kl_cache[digits]
-    prec = digits + 30
-    target = Decimal(10) ** (-digits)
-    lo, hi = Decimal("2.5"), Decimal("2.6")
-    with localcontext() as ctx:
-        ctx.prec = prec + 10
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            if _limit_word_sign(mid, prec) > 0:
-                lo = mid
-            else:
-                hi = mid
-    out = BaseValue(Fraction(lo), Fraction(hi), is_kl=True)
-    with _kl_lock:
-        _kl_cache[digits] = out
-    return out
+    return _kl(digits)
 
 
 # ---------------------------------------------------------------------------

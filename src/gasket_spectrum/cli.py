@@ -56,7 +56,7 @@ or as comma lists (1,0,-1). Example: '+0;-0^inf' is preperiod +0 with
 period -0 repeating. A value starting with '-' must be passed in the
 '--opt=value' form. Environment: GS_TOLERANCE, GS_MAX_N, GS_KL_TERMS,
 GS_ALPHA_HORIZON, GS_FORMAT, GS_CONFIG. Precedence: flags > environment >
-config file > defaults.
+config file > defaults. Flags such as --format go after the subcommand.
 """
 
 
@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dimension spectra of gasket self-intersections in bases 2 < q < 3.",
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[_parent_parser()],
     )
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -132,9 +131,9 @@ def _config_from_args(args) -> RunConfig:
     return load_config(flag_values=flags, config_path=getattr(args, "config", None))
 
 
-def _parse_base(text: str) -> bases.BaseValue:
+def _parse_base(text: str, config: RunConfig) -> bases.BaseValue:
     if text.strip().lower() in ("kl", "q_kl", "qkl"):
-        return bases.kl_constant()
+        return bases.kl_constant(config=config)
     return bases.as_base_value(text)
 
 
@@ -179,14 +178,14 @@ def _cmd_bases(args, config):
 
 
 def _cmd_classify(args, config):
-    label = bases.classify(_parse_base(args.q), config)
+    label = bases.classify(_parse_base(args.q, config), config)
     result = {"regime": label.to_json_dict()}
     text = label.kind if label.m is None else f"{label.kind} m={label.m}"
     return result, [f"  regime: {text}"]
 
 
 def _cmd_expand(args, config):
-    q = _parse_base(args.q)
+    q = _parse_base(args.q, config)
     x = _parse_value(args.x)
     digits = expansions.greedy_expand(x, q, args.depth)
     partial = expansions.evaluate_exact(Seq(digits, (0,)), q.midpoint) if digits else Fraction(0)
@@ -200,7 +199,7 @@ def _cmd_expand(args, config):
 
 
 def _cmd_unique(args, config):
-    q = _parse_base(args.q)
+    q = _parse_base(args.q, config)
     seq = parse_seq(args.seq)
     verdict = expansions.uniqueness_verdict(seq, q, config)
     result = {"seq": format_seq(seq), "verdict": verdict.to_json_dict()}
@@ -241,7 +240,7 @@ def _cmd_verify(args, config):
 
 
 def _cmd_dq(args, config):
-    q = _parse_base(args.q)
+    q = _parse_base(args.q, config)
     s = spectrum.spectrum_of(q, config)
     provenance = {"q_enclosure": [str(q.lo), str(q.hi)]}
     if s.regime.m is not None:
@@ -261,7 +260,7 @@ def _cmd_dq(args, config):
 
 
 def _cmd_render(args, config):
-    q = _parse_base(args.q)
+    q = _parse_base(args.q, config)
     sx = parse_seq(args.t_seq[0])
     sy = parse_seq(args.t_seq[1])
     pair = matching.zip_seqs(sx, sy)

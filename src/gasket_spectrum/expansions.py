@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
@@ -104,7 +105,7 @@ class AlphaDigits:
 
     def __init__(self, base: BaseValue, config: RunConfig = DEFAULT_CONFIG):
         self.config = config
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # the cache hands one instance to every thread
         self._digits: list[int] = []
         self.periodic: tuple[Word, Word] | None = None  # (preperiod, period)
         if base.ladder_index is not None:
@@ -160,22 +161,13 @@ class AlphaDigits:
         return tuple(self.digit(i) for i in range(1, depth + 1))
 
 
-_alpha_cache: dict[object, AlphaDigits] = {}
-_alpha_cache_lock = threading.Lock()
+@lru_cache(maxsize=256)  # bounded: every rational base would otherwise stay for good
+def _alpha(b: BaseValue, config: RunConfig) -> AlphaDigits:
+    return AlphaDigits(b, config)
 
 
 def alpha_digits(q, config: RunConfig = DEFAULT_CONFIG) -> AlphaDigits:
-    b = as_base_value(q)
-    if b.ladder_index is not None:
-        key = ("ladder", b.ladder_index)
-    elif b.is_kl:
-        key = ("kl",)
-    else:
-        key = (b.lo, b.hi, config.alpha_horizon_max)
-    with _alpha_cache_lock:
-        if key not in _alpha_cache:
-            _alpha_cache[key] = AlphaDigits(b, config)
-        return _alpha_cache[key]
+    return _alpha(as_base_value(q), config)
 
 
 def quasi_greedy_alpha(q, depth: int, config: RunConfig = DEFAULT_CONFIG) -> Word:

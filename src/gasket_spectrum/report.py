@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from . import __version__
+
 SCHEMA_VERSION = "1"
-PACKAGE_VERSION = "0.1.0"
 
 
 def fraction_str(x: Fraction) -> str:
@@ -64,7 +65,7 @@ class Report:
     inputs: dict
     result: Any
     timing_ms: int = 0
-    version: str = PACKAGE_VERSION
+    version: str = __version__
     schema: str = SCHEMA_VERSION
     extras: dict = field(default_factory=dict)
 

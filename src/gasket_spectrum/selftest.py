@@ -17,6 +17,12 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import GasketError
 
 
+def _require(ok: bool, detail: object = None) -> None:
+    """Fail the current check; unlike assert, this survives python -O."""
+    if not ok:
+        raise AssertionError() if detail is None else AssertionError(detail)
+
+
 def _residual_unique_oracle(seq: words.Seq, q: Fraction) -> bool:
     """Independent uniqueness decision: a second expansion exists exactly when
     some position admits a different digit whose residual stays representable."""
@@ -42,47 +48,47 @@ def _check_block_calculus(config: RunConfig) -> str:
     for n in range(0, 13):
         e = words.tm_block(n)
         e1 = words.tm_block(n + 1)
-        assert e1 == e + words.inc_last(words.reflect(e)), f"recursion fails at {n}"
-        assert e1[: len(e)] == e, f"prefix property fails at {n}"
-        assert e[0] == 1
-        assert e[-1] == (0 if n % 2 else 1), f"terminal parity fails at {n}"
+        _require(e1 == e + words.inc_last(words.reflect(e)), f"recursion fails at {n}")
+        _require(e1[: len(e)] == e, f"prefix property fails at {n}")
+        _require(e[0] == 1)
+        _require(e[-1] == (0 if n % 2 else 1), f"terminal parity fails at {n}")
         if n >= 1:
-            assert 0 in e, f"no zero in block {n}"
-        assert all(e[i] != 0 for i in range(0, len(e), 2)), f"odd-position zero at {n}"
+            _require(0 in e, f"no zero in block {n}")
+        _require(all(e[i] != 0 for i in range(0, len(e), 2)), f"odd-position zero at {n}")
         if n >= 3:
-            assert any(e[i] != 0 for i in range(1, len(e) - 1, 2))
+            _require(any(e[i] != 0 for i in range(1, len(e) - 1, 2)))
     for i in range(1, 1 << 10):
-        assert words.tm_diff(i) == words.thue_morse_bit(i) - words.thue_morse_bit(i - 1)
+        _require(words.tm_diff(i) == words.thue_morse_bit(i) - words.thue_morse_bit(i - 1))
     return "block recursion, parity, prefix, and difference identities for n <= 13"
 
 def _check_block_density(config: RunConfig) -> str:
     rep = spectrum.block_density_check(16)
-    assert rep.passed, rep.counterexamples
+    _require(rep.passed, rep.counterexamples)
     return "zero densities equal the alternating closed form for n <= 16"
 
 def _check_trichotomy(config: RunConfig) -> str:
     for n in range(1, 9):
         rep = matching.verify_shift_trichotomy(n)
-        assert rep.passed, rep.counterexamples
+        _require(rep.passed, rep.counterexamples)
     return "shift trichotomy for scales 1..8"
 
 def _check_bump(config: RunConfig) -> str:
     for n in range(3, 9):
         for variant in ("minus", "plain"):
             rep = matching.verify_bump_witnesses(n, variant)
-            assert rep.passed, rep.counterexamples
+            _require(rep.passed, rep.counterexamples)
     return "bump-block witnesses for scales 3..8, both variants"
 
 def _check_cross_scale(config: RunConfig) -> str:
     for n in range(1, 8):
         for m in range(n, 8):
             rep = matching.verify_cross_scale(n, m)
-            assert rep.passed, rep.counterexamples
+            _require(rep.passed, rep.counterexamples)
     return "cross-scale match certificates for 1 <= n <= m <= 7"
 
 def _check_ladder(config: RunConfig) -> str:
     r1 = bases.base_root(1, config=config)
-    assert r1.lo == r1.hi == 2
+    _require(r1.lo == r1.hi == 2)
     r2 = bases.base_root(2, config=config)
     lo, hi = 2.0, 3.0
     for _ in range(80):  # independent float bisection on q^2 - 2q - 1
@@ -91,50 +97,50 @@ def _check_ladder(config: RunConfig) -> str:
             lo = mid
         else:
             hi = mid
-    assert abs(r2.value - (lo + hi) / 2) < 1e-12
+    _require(abs(r2.value - (lo + hi) / 2) < 1e-12)
     prev = r1
     for n in range(2, 13):
         rn = bases.base_root(n, config=config)
-        assert prev.hi < rn.lo, f"enclosures {n - 1} and {n} overlap"
+        _require(prev.hi < rn.lo, f"enclosures {n - 1} and {n} overlap")
         prev = rn
     return "root enclosures exact at 1, match the quadratic at 2, disjoint through 12"
 
 def _check_kl(config: RunConfig) -> str:
     kl = bases.kl_constant(1e-10, config=config)
     q8 = bases.base_root(8, config=config)
-    assert q8.hi < kl.lo < kl.hi < 3
+    _require(q8.hi < kl.lo < kl.hi < 3)
     kl6 = bases.kl_constant(1e-6, config=config)
-    assert kl6.lo <= kl.lo and kl.hi <= kl6.hi
+    _require(kl6.lo <= kl.lo and kl.hi <= kl6.hi)
     return "limit enclosure sits above the 8th root and nests across tolerances"
 
 def _check_spectra(config: RunConfig) -> str:
     import math
     s = spectrum.spectrum_of("2.2", config)
-    assert s.regime.kind == "finite" and s.regime.m == 1 and s.family is None
-    assert sorted(s.isolated) == sorted((0.0, math.log(3) / math.log(2.2)))
+    _require(s.regime.kind == "finite" and s.regime.m == 1 and s.family is None)
+    _require(sorted(s.isolated) == sorted((0.0, math.log(3) / math.log(2.2))))
     s3 = spectrum.spectrum_of(bases.base_root(3, config=config), config)
-    assert s3.regime.m == 2 and s3.family is not None
-    assert s3.family.terms == (Fraction(1, 2),)
+    _require(s3.regime.m == 2 and s3.family is not None)
+    _require(s3.family.terms == (Fraction(1, 2),))
     kl = bases.kl_constant(config=config)
     skl = spectrum.spectrum_of(kl, config)
-    assert len(skl.isolated) == 3 and skl.family is not None
+    _require(len(skl.isolated) == 3 and skl.family is not None)
     for k, t in enumerate(skl.family.terms, start=1):
-        assert abs(t - Fraction(1, 3)) == Fraction(1, 3 * 2 ** k)
+        _require(abs(t - Fraction(1, 3)) == Fraction(1, 3 * 2 ** k))
     si = spectrum.spectrum_of("2.9", config)
-    assert si.interval is not None and 0 < si.interval.lo < si.interval.hi < si.log_ratio
+    _require(si.interval is not None and 0 < si.interval.lo < si.interval.hi < si.log_ratio)
     return "finite, limit, and interval spectra have the documented shapes"
 
 def _check_sft(config: RunConfig) -> str:
     for qs in ("2.6", "2.75", "2.9"):
         spec = spectrum.sft_spec(qs, config)
-        assert spec.n <= config.sft_max_n
+        _require(spec.n <= config.sft_max_n)
         d1, d2 = spectrum.sft_densities(spec)
-        assert d1 < d2
+        _require(d1 < d2)
         for path in spectrum.U1_PATHS + spectrum.U2_PATHS:
-            assert spectrum.sft_letter_path_allowed(path)
+            _require(spectrum.sft_letter_path_allowed(path))
         wit = spectrum.interval_witness(spec, (d1 + d2) / 2, 10 ** 4)
         u1_len = 4 * 2 ** spec.n
-        assert abs(wit.achieved - wit.target) <= Fraction(2, u1_len)
+        _require(abs(wit.achieved - wit.target) <= Fraction(2, u1_len))
     return "subshift letters embed at 2.6/2.75/2.9 with ordered densities"
 
 def _check_uniqueness_concordance(config: RunConfig) -> str:
@@ -143,10 +149,11 @@ def _check_uniqueness_concordance(config: RunConfig) -> str:
         for n in range(0, m):
             found = expansions.find_unique_with_tail(
                 expansions.catalogue_tail(n), q, max_preperiod=4, config=config)
-            assert found is not None, (m, n)
+            _require(found is not None, (m, n))
         for n in (m, m + 1):
-            assert expansions.find_unique_with_tail(
-                expansions.catalogue_tail(n), q, max_preperiod=8, config=config) is None, (m, n)
+            found = expansions.find_unique_with_tail(
+                expansions.catalogue_tail(n), q, max_preperiod=8, config=config)
+            _require(found is None, (m, n))
     return "catalogue tails accepted below the band index and rejected from it up"
 
 def _check_uniqueness_oracle(config: RunConfig) -> str:
@@ -164,24 +171,24 @@ def _check_uniqueness_oracle(config: RunConfig) -> str:
         for s in seqs:
             lex = expansions.is_unique_expansion(s, q, config)
             res = _residual_unique_oracle(s, q)
-            assert lex == res, (q, s, lex, res)
+            _require(lex == res, (q, s, lex, res))
     return "lexicographic and residual uniqueness decisions agree on the sample grid"
 
 def _check_greedy(config: RunConfig) -> str:
     q = Fraction("2.6")
     target = expansions.evaluate_exact(words.Seq((), (1, 0, -1, 0)), q)
     got = expansions.greedy_expand(target, q, 8)
-    assert got == (1, 0, -1, 0, 1, 0, -1, 0), got
-    assert expansions.greedy_expand(Fraction(0), q, 6) == (0,) * 6
-    assert expansions.greedy_expand(Fraction(1) / (q - 1), q, 6) == (1,) * 6
+    _require(got == (1, 0, -1, 0, 1, 0, -1, 0), got)
+    _require(expansions.greedy_expand(Fraction(0), q, 6) == (0,) * 6)
+    _require(expansions.greedy_expand(Fraction(1) / (q - 1), q, 6) == (1,) * 6)
     return "greedy digits reproduce the periodic example and both endpoints"
 
 def _check_geometry(config: RunConfig) -> str:
     t = matching.e_seq(1, 1, 2)
     cloud = geometry.build_intersection("2.5", t, 8, config)
-    assert len(cloud.points) == 3 ** 4
+    _require(len(cloud.points) == 3 ** 4)
     gasket = geometry.build_gasket("2.5", 5, config)
-    assert len(gasket.points) == 3 ** 5 == len(set(gasket.points))
+    _require(len(gasket.points) == 3 ** 5 == len(set(gasket.points)))
     import os
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -189,22 +196,22 @@ def _check_geometry(config: RunConfig) -> str:
         geometry.emit_svg([gasket, cloud], p1)
         geometry.emit_svg([gasket, cloud], p2)
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
-            assert f1.read() == f2.read()
+            _require(f1.read() == f2.read())
     return "counting law, distinct cylinder points, and byte-stable rendering"
 
 def _check_kl_density(config: RunConfig) -> str:
     rep = spectrum.kl_density_check(2 ** 14, config=config)
-    assert rep.passed, rep.counterexamples
+    _require(rep.passed, rep.counterexamples)
     fam = {row["family"]: row for row in rep.stats["families"]}
-    assert fam["j=1,l=1"]["abs_dev"] < Fraction(1, 384)
+    _require(fam["j=1,l=1"]["abs_dev"] < Fraction(1, 384))
     return "block densities exact and tail frequency within 1/384 of one third"
 
 def _check_determinism(config: RunConfig) -> str:
     from .cli import run
     out1, out2 = io.StringIO(), io.StringIO()
     argv = ["dq", "--q", "2.2", "--format", "json"]
-    assert run(argv, out1) == 0 and run(argv, out2) == 0
-    assert out1.getvalue() == out2.getvalue()
+    _require(run(argv, out1) == 0 and run(argv, out2) == 0)
+    _require(out1.getvalue() == out2.getvalue())
     return "identical argv yields byte-identical JSON"
 
 

@@ -8,15 +8,13 @@ decidable.
 
 from __future__ import annotations
 
-import threading
+from functools import cache
 from typing import Callable, Iterable
 
 from .config import DEFAULT_CONFIG
 from .errors import DomainError, ResourceLimitError
 
 Word = tuple  # tuple of digits
-
-OMEGA3 = (-1, 0, 1)
 
 
 def thue_morse_bit(i: int) -> int:
@@ -37,8 +35,12 @@ def tm_diff(i: int) -> int:
     return thue_morse_bit(i) - thue_morse_bit(i - 1)
 
 
-_block_cache: dict[int, Word] = {}
-_block_lock = threading.Lock()
+@cache
+def _block(n: int) -> Word:
+    if n == 0:
+        return (1,)
+    w = _block(n - 1)
+    return w + inc_last(reflect(w))
 
 
 def tm_block(n: int, max_exponent: int | None = None) -> Word:
@@ -52,18 +54,7 @@ def tm_block(n: int, max_exponent: int | None = None) -> Word:
         raise DomainError("block exponent must be nonnegative")
     if n > cap:
         raise ResourceLimitError(f"block exponent {n} exceeds cap {cap}")
-    with _block_lock:
-        if n in _block_cache:
-            return _block_cache[n]
-        hi = max(_block_cache) if _block_cache else -1
-        w = _block_cache.get(hi, (1,)) if hi >= 0 else (1,)
-        for k in range(hi + 1, n + 1):
-            if k == 0:
-                w = (1,)
-            else:
-                w = w + inc_last(reflect(w))
-            _block_cache[k] = w
-        return _block_cache[n]
+    return _block(n)
 
 
 def reflect(word: Word) -> Word:

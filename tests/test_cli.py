@@ -6,6 +6,8 @@ import io
 import json
 import os
 
+from fractions import Fraction
+
 import pytest
 
 from gasket_spectrum import words
@@ -228,13 +230,56 @@ def test_selftest_passes_and_detects_fault(monkeypatch):
     assert payload["result"]["all_pass"] is True
     names = [item["name"] for item in payload["result"]["items"]]
     assert "shift-trichotomy" in names and "ladder-roots" in names
-    # fault injection: corrupt the cached block table and expect a failure
-    words.tm_block(6)
-    monkeypatch.setitem(words._block_cache, 6, (1, 1) * 32)
+    # fault injection: corrupt block 6 as the battery reads it and expect a failure
+    real = words.tm_block
+    monkeypatch.setattr(words, "tm_block",
+                        lambda n, max_exponent=None: (1, 1) * 32 if n == 6 else real(n))
     code, payload = run_json(["selftest"])
     assert code == 1
     failed = {item["name"] for item in payload["result"]["items"] if not item["pass"]}
     assert "block-calculus" in failed
+
+
+def test_selftest_detects_fault_under_optimize():
+    # python -O strips assert statements; the battery must still fail.
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "from gasket_spectrum import selftest, words\n"
+        "real = words.tm_block\n"
+        "words.tm_block = lambda n, max_exponent=None: (1, 1) * 32 if n == 6 else real(n)\n"
+        "result = selftest.run_selftest()\n"
+        "failed = [i['name'] for i in result['items'] if not i['pass']]\n"
+        "print(result['all_pass'], failed)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False ['block-calculus']"
+
+
+def test_report_version_is_package_version():
+    import gasket_spectrum
+
+    code, payload = run_json(["classify", "--q", "2.2"])
+    assert code == 0
+    assert payload["version"] == gasket_spectrum.__version__
+
+
+def test_flags_before_subcommand_are_a_usage_error():
+    code, text = run_cli(["--format", "json", "dq", "--q", "2.2"])
+    assert code == 2
+    assert text == ""
+
+
+def test_kl_base_follows_run_tolerance():
+    code, payload = run_json(["dq", "--q", "kl", "--tolerance", "1e-90"])
+    assert code == 0
+    lo, hi = (Fraction(x) for x in payload["result"]["provenance"]["q_enclosure"])
+    assert 0 < hi - lo <= Fraction(1, 10 ** 90)
 
 
 def test_parser_help_smoke(capsys):
