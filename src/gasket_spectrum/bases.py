@@ -52,6 +52,13 @@ class BaseValue:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise DomainError("enclosure endpoints out of order")
+        # Hashing a 400-digit Fraction is slow and the alpha cache hashes its
+        # key on every lookup, so hash once. Equal values share lo and hi;
+        # hash(None) varies between processes, so the tags stay out of it.
+        object.__setattr__(self, "_hash", hash((self.lo, self.hi)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def value(self) -> float:

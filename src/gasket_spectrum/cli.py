@@ -227,9 +227,10 @@ def _cmd_density(args, config):
 
 
 def _cmd_verify(args, config):
-    if args.n + 2 > config.max_block_exponent:
+    scale = max(args.n, args.m or 0) if args.lemma == "3.4" else args.n
+    if scale + 2 > config.max_block_exponent:
         raise ResourceLimitError(
-            f"scale {args.n} needs block exponent {args.n + 2}, beyond the cap "
+            f"scale {scale} needs block exponent {scale + 2}, beyond the cap "
             f"{config.max_block_exponent} (GS_MAX_N / --max-n)")
     rep = CHECK_RUNNERS[args.lemma](args)
     result = rep.to_json_dict()

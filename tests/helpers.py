@@ -2,15 +2,17 @@
 
 These deliberately avoid the library's own code paths: uniqueness is decided
 by exact residual-interval feasibility, sequence values by direct partial
-summation, and roots by plain float bisection on the literal polynomial.
+summation, roots by plain float bisection on the literal polynomial, and
+shifted pairings by a digit-by-digit scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from gasket_spectrum import bases
-from gasket_spectrum.words import Seq
+from gasket_spectrum.words import Seq, Word
 
 
 def seq_digits(seq: Seq, n: int) -> list[int]:
@@ -90,3 +92,23 @@ def lex_largest_prefix_bruteforce(x: Fraction, q: Fraction, depth: int) -> tuple
             if -bound <= r <= bound:
                 stack.append((prefix + (d,), r))
     return best
+
+
+def scan_pair(x: Word, y: Word, i: int) -> tuple[bool, bool]:
+    """(matched, has_zero_pair) of (shift-by-i of x^inf, y^inf) over one lcm period."""
+    lx, ly = len(x), len(y)
+    period = lx * ly // gcd(lx, ly)
+    matched = True
+    haszero = False
+    for u in range(period):
+        a = x[(u + i) % lx]
+        b = y[u % ly]
+        if a == b and (a == 1 or a == -1):
+            matched = False
+            if haszero:
+                break
+        elif a == 0 and b == 0:
+            haszero = True
+            if not matched:
+                break
+    return matched, haszero

@@ -210,3 +210,14 @@ def test_as_base_value_forms():
 def test_base_value_ordering_check():
     with pytest.raises(DomainError):
         BaseValue(Fraction(3), Fraction(2))
+
+
+def test_equal_enclosures_hash_equal():
+    r = base_root(10)
+    copy = BaseValue(Fraction(r.lo.numerator, r.lo.denominator), Fraction(str(r.hi)),
+                     ladder_index=10)
+    assert copy == r and hash(copy) == hash(r)
+    assert as_base_value("49/20") == as_base_value("2.45")
+    assert hash(as_base_value("49/20")) == hash(as_base_value("2.45"))
+    # the tag still takes part in equality
+    assert BaseValue(r.lo, r.hi) != r

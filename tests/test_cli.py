@@ -210,6 +210,13 @@ def test_max_n_guards_verify():
     assert code == 0
 
 
+def test_max_n_guards_cross_scale_m():
+    code, text = run_cli(["verify", "--lemma", "3.4", "--n", "2", "--m", "12", "--max-n", "10"])
+    assert code == 1 and "scale 12" in text
+    code, _ = run_cli(["verify", "--lemma", "3.4", "--n", "2", "--m", "8", "--max-n", "10"])
+    assert code == 0
+
+
 def test_render_spec_format_alias(tmp_path):
     out = str(tmp_path / "alias.ppm")
     code, _ = run_cli(["render", "--q", "2.5", "--t-seq", "+0-0^inf", "0;+0-0^inf",

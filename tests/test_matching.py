@@ -11,6 +11,7 @@ import pytest
 from gasket_spectrum.errors import DomainError
 from gasket_spectrum.matching import (
     OMEGA2,
+    _scan_shifts,
     analyze,
     b_blocks,
     block_word,
@@ -23,6 +24,8 @@ from gasket_spectrum.matching import (
 )
 from gasket_spectrum.spectrum import zero_fraction
 from gasket_spectrum.words import Seq, dec_last, inc_last, reflect, tm_block
+
+from helpers import scan_pair
 
 
 def test_pair_alphabet_is_difference_set():
@@ -101,7 +104,28 @@ def test_trichotomy_small_scales():
 
 
 def test_trichotomy_larger_scale():
-    assert verify_shift_trichotomy(10).passed
+    for n in (10, 12, 13):
+        assert verify_shift_trichotomy(n).passed
+
+
+def _assert_scan_matches_oracle(x, y):
+    shifts = range(len(x))
+    expected = [(i, *scan_pair(x, y, i)) for i in shifts]
+    assert list(_scan_shifts(x, y, shifts)) == expected
+
+
+def test_bitset_scan_matches_scalar_oracle():
+    for n in range(1, 9):
+        _assert_scan_matches_oracle(block_word(n), block_word(n))
+    for m in range(2, 10):
+        for n in range(1, m):
+            _assert_scan_matches_oracle(block_word(n), block_word(m))
+    rng = random.Random(31)
+    for _ in range(40):
+        x = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(1, 12)))
+        y = tuple(rng.choice((-1, 0, 1)) for _ in range(len(x) * rng.randint(1, 4)))
+        _assert_scan_matches_oracle(x, y)
+
 
 
 def test_bump_witnesses_minus_variant():
@@ -130,6 +154,7 @@ def test_cross_scale_reports():
     assert verify_cross_scale(2, 2).passed
     assert verify_cross_scale(1, 2).passed
     assert verify_cross_scale(3, 7).passed
+    assert verify_cross_scale(11, 12).passed
     with pytest.raises(DomainError):
         verify_cross_scale(3, 2)
 
