@@ -223,7 +223,8 @@ def base_root(n: int, tolerance: float | None = None,
     """
     if n < 1:
         raise DomainError("ladder index must be >= 1")
-    ladder_word(n, max_index=config.max_ladder_index)  # enforce the cap
+    if n > config.max_ladder_index:
+        raise PrecisionError(f"ladder index {n} exceeds cap {config.max_ladder_index}")
     if n == 1:
         return BaseValue(Fraction(2), Fraction(2), ladder_index=1)
     tol = config.tolerance if tolerance is None else tolerance

@@ -20,19 +20,10 @@ from .report import Report, decimal_str, fraction_str
 from .selftest import run_selftest
 from .words import Seq, format_seq, format_word, parse_seq
 
-def _parse_pattern(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"pattern must be a comma list of integers, not {text!r}") from exc
-
-
 CHECK_RUNNERS = {
     "3.1": lambda args: matching.verify_shift_trichotomy(args.n),
     "3.2": lambda args: matching.verify_bump_witnesses(args.n, args.variant),
     "3.4": lambda args: matching.verify_cross_scale(args.n, args.m if args.m is not None else args.n),
-    "blocks": lambda args: matching.verify_block_concatenation(
-        args.n, _parse_pattern(args.pattern), args.max_shift),
 }
 
 
@@ -55,8 +46,9 @@ ternary alphabet, written compactly with one character per digit (+ 0 -)
 or as comma lists (1,0,-1). Example: '+0;-0^inf' is preperiod +0 with
 period -0 repeating. A value starting with '-' must be passed in the
 '--opt=value' form. Environment: GS_TOLERANCE, GS_MAX_N, GS_KL_TERMS,
-GS_ALPHA_HORIZON, GS_FORMAT, GS_CONFIG. Precedence: flags > environment >
-config file > defaults. Flags such as --format go after the subcommand.
+GS_FORMAT, GS_CONFIG. Precedence: flags > environment > config file >
+defaults. Flags such as --format go after the subcommand. The uniqueness
+test settles each comparison within alpha_horizon_max (config file) digits.
 """
 
 
@@ -97,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--variant", choices=("minus", "plain"), default="minus")
-    p.add_argument("--pattern", default="1,2", help="comma list over 1..4 (blocks check)")
-    p.add_argument("--max-shift", type=int, dest="max_shift")
 
     p = add("dq", "the dimension spectrum at q")
     p.add_argument("--q", required=True)

@@ -15,7 +15,6 @@ ENV_KEYS = {
     "GS_TOLERANCE": "tolerance",
     "GS_MAX_N": "max_block_exponent",
     "GS_KL_TERMS": "kl_terms",
-    "GS_ALPHA_HORIZON": "alpha_horizon",
     "GS_FORMAT": "output_format",
     "GS_CONFIG": None,  # path to a config file, handled separately
 }
@@ -23,7 +22,6 @@ ENV_KEYS = {
 _INT_FIELDS = {
     "max_block_exponent",
     "kl_terms",
-    "alpha_horizon",
     "alpha_horizon_max",
     "max_ladder_index",
     "ladder_digits_cap",
@@ -38,7 +36,6 @@ class RunConfig:
     tolerance: float = 1e-12
     max_block_exponent: int = 24
     kl_terms: int = 32
-    alpha_horizon: int = 256
     alpha_horizon_max: int = 4096
     max_ladder_index: int = 24
     ladder_digits_cap: int = 460

@@ -17,8 +17,10 @@ with strict lexicographic comparisons. Increasing (decreasing) a digit is
 compensable exactly when the corresponding tail value reaches 1, and the
 quasi-greedy word is the lexicographic threshold for that. For eventually
 periodic input only finitely many distinct (digit, tail) pairs occur, so the
-check terminates; comparisons are resolved with certified digits of alpha and
-fail loudly (PrecisionError) if a tie survives the configured horizon.
+check terminates. The candidate digits sit in one tuple read by index, and
+each tail is compared with certified digits of alpha in one pass. Against a
+periodic alpha the pass has an exact length; otherwise a tie must be settled
+within alpha_horizon_max digits, or the check fails loudly (PrecisionError).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
 from .config import DEFAULT_CONFIG, RunConfig
@@ -181,34 +183,6 @@ def quasi_greedy_alpha(q, depth: int, config: RunConfig = DEFAULT_CONFIG) -> Wor
 # Uniqueness
 # ---------------------------------------------------------------------------
 
-def _compare_tail_with_alpha(tail: Seq, alpha: AlphaDigits, config: RunConfig) -> int:
-    """-1 if tail < alpha lexicographically, +1 if greater, 0 if equal.
-
-    Digits of tail live in {0,1,2}. Equality is only decidable when alpha is
-    periodic; otherwise agreement through the doubled horizon raises.
-    """
-    if alpha.periodic is not None:
-        pre_a, per_a = alpha.periodic
-        limit = (len(tail.preperiod) + len(pre_a)
-                 + (len(tail.period) * len(per_a)) // gcd(len(tail.period), len(per_a))
-                 + 1)
-        for i in range(1, limit + 1):
-            a, b = tail.digit(i), alpha.digit(i)
-            if a != b:
-                return -1 if a < b else 1
-        return 0
-    horizon = config.alpha_horizon
-    while True:
-        for i in range(1, horizon + 1):
-            a, b = tail.digit(i), alpha.digit(i)
-            if a != b:
-                return -1 if a < b else 1
-        if horizon >= config.alpha_horizon_max:
-            raise PrecisionError(
-                f"lexicographic comparison undecided after {horizon} digits")
-        horizon = min(2 * horizon, config.alpha_horizon_max)
-
-
 @dataclass(frozen=True)
 class UniquenessVerdict:
     unique: bool
@@ -224,19 +198,43 @@ class UniquenessVerdict:
 
 
 def uniqueness_verdict(seq: Seq, q, config: RunConfig = DEFAULT_CONFIG) -> UniquenessVerdict:
-    """Full verdict with the failing position and violated clause on rejection."""
-    for d in seq.preperiod + seq.period:
+    """Full verdict with the failing position and violated clause on rejection.
+
+    The digits are shifted to {0, 1, 2} once and read by index. Each tail is
+    compared with alpha up to one limit: for a periodic alpha, agreement that
+    far means equality for ever; otherwise the limit is the horizon cap.
+    """
+    digits = seq.preperiod + seq.period
+    for d in digits:
         if d not in (-1, 0, 1):
             raise DomainError(f"digit {d!r} is not ternary")
     alpha = alpha_digits(q, config)
-    c = seq.map(lambda d: d + 1)
-    for k in range(1, len(c.preperiod) + len(c.period) + 1):
-        d = c.digit(k)
-        tail = c.shift(k)
-        if d < 2 and _compare_tail_with_alpha(tail, alpha, config) >= 0:
+    c = tuple(d + 1 for d in digits)
+    pre, per = len(seq.preperiod), len(seq.period)
+    if alpha.periodic is not None:
+        pre_a, per_a = alpha.periodic
+        limit = pre + len(pre_a) + lcm(per, len(per_a)) + 1
+    else:
+        limit = config.alpha_horizon_max
+
+    def at(j: int) -> int:
+        return c[j - 1] if j <= pre else c[pre + (j - 1 - pre) % per]
+
+    def reaches_alpha(k: int, reflected: bool) -> bool:
+        """Whether the tail after position k (or its reflection) is >= alpha."""
+        for i in range(1, limit + 1):
+            a = 2 - at(k + i) if reflected else at(k + i)
+            b = alpha.digit(i)
+            if a != b:
+                return a > b
+        if alpha.periodic is None:
+            raise PrecisionError(f"lexicographic comparison undecided after {limit} digits")
+        return True
+
+    for k, d in enumerate(c, start=1):
+        if d < 2 and reaches_alpha(k, False):
             return UniquenessVerdict(False, k, "tail")
-        if d > 0 and _compare_tail_with_alpha(
-                tail.map(lambda x: 2 - x), alpha, config) >= 0:
+        if d > 0 and reaches_alpha(k, True):
             return UniquenessVerdict(False, k, "reflected_tail")
     return UniquenessVerdict(True)
 

@@ -36,12 +36,6 @@ class CylinderTree:
     depth: int
     branch_sets: tuple
 
-    def count(self) -> int:
-        n = 1
-        for s in self.branch_sets:
-            n *= len(s)
-        return n
-
 
 @dataclass(frozen=True)
 class PointCloud:

@@ -8,11 +8,11 @@ is a complete certificate for eventually periodic inputs.
 The shift trichotomy ("3.1") and the cross-scale check ("3.4") decide every
 shift at once with bitset scans: each word becomes three Python ints marking
 its +1, -1 and 0 positions, and a shift is a rotation followed by an AND. The
-bump ("3.2") and block checks keep scalar loops, because they report the
-first witness position and that is usually found within a few digits.
+bump check ("3.2") keeps a scalar loop, because it reports the first witness
+position and that is usually found within a few digits.
 
-The verifier wire names ("3.1", "3.2", "3.4", "blocks") are the check
-identifiers used by the CLI and JSON reports.
+The verifier wire names ("3.1", "3.2", "3.4") are the check identifiers used
+by the CLI and JSON reports.
 """
 
 from __future__ import annotations
@@ -284,53 +284,4 @@ def verify_cross_scale(n: int, m: int) -> VerifierReport:
         witnesses=witnesses,
         counterexamples=counterexamples,
         stats={"shifts_checked": 1 if n == m else 2 ** (n + 1) - 1},
-    )
-
-
-def verify_block_concatenation(n: int, pattern: tuple[int, ...],
-                               max_shift: int | None = None) -> VerifierReport:
-    """Check "blocks": shift a concatenation of B-blocks against itself and
-    certify a (1,1)/(-1,-1) occurrence for every nonzero shift in range.
-
-    A shift whose full period is matched is listed as an exception, not a
-    failure; a window exhausted with neither outcome would be inconclusive,
-    but full-period scans always decide.
-    """
-    if n < 3:
-        raise DomainError("the block check needs scale >= 3")
-    if len(pattern) < 2:
-        raise DomainError("pattern must list at least two blocks")
-    blocks = b_blocks(n)
-    try:
-        w = tuple(d for p in pattern for d in blocks[p - 1])
-    except IndexError as exc:
-        raise DomainError("pattern entries must be in {1, 2, 3, 4}") from exc
-    limit = 2 ** (n + 1) if max_shift is None else max_shift
-    witnesses = []
-    matched_exceptions = []
-    inconclusive = []
-    lw = len(w)
-    for i in range(1, limit):
-        found = None
-        for u in range(lw):
-            a = w[(u + i) % lw]
-            b = w[u]
-            if a == b and a != 0:
-                found = {"i": i, "u": u + 1, "term": [a, b]}
-                break
-        if found is not None:
-            witnesses.append(found)
-        else:
-            matched_exceptions.append({"i": i, "reason": "fully matched period"})
-    return VerifierReport(
-        check="blocks",
-        params={"n": n, "pattern": list(pattern), "max_shift": limit},
-        passed=not inconclusive,
-        witnesses=witnesses,
-        counterexamples=inconclusive,
-        stats={
-            "shifts_checked": limit - 1,
-            "matched_exceptions": matched_exceptions,
-            "inconclusive": len(inconclusive),
-        },
     )

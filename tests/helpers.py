@@ -1,9 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: uniqueness is decided
-by exact residual-interval feasibility, sequence values by direct partial
-summation, roots by plain float bisection on the literal polynomial, and
-shifted pairings by a digit-by-digit scan.
+by exact residual-interval feasibility and by a per-position Seq comparison,
+sequence values by direct partial summation, roots by plain float bisection
+on the literal polynomial, and shifted pairings by a digit-by-digit scan.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from fractions import Fraction
 from math import gcd
 
 from gasket_spectrum import bases
+from gasket_spectrum.config import DEFAULT_CONFIG, RunConfig
+from gasket_spectrum.errors import DomainError, PrecisionError
+from gasket_spectrum.expansions import AlphaDigits, UniquenessVerdict, alpha_digits
 from gasket_spectrum.words import Seq, Word
 
 
@@ -54,6 +57,45 @@ def residual_unique(seq: Seq, q: Fraction) -> bool:
                 return False
         t = q * t - s_k
     return True
+
+
+def _compare_seq_with_alpha(tail: Seq, alpha: AlphaDigits, config: RunConfig) -> int:
+    """-1 if tail < alpha lexicographically, +1 if greater, 0 if equal."""
+    if alpha.periodic is not None:
+        pre_a, per_a = alpha.periodic
+        limit = (len(tail.preperiod) + len(pre_a)
+                 + (len(tail.period) * len(per_a)) // gcd(len(tail.period), len(per_a))
+                 + 1)
+        for i in range(1, limit + 1):
+            a, b = tail.digit(i), alpha.digit(i)
+            if a != b:
+                return -1 if a < b else 1
+        return 0
+    horizon = config.alpha_horizon_max
+    for i in range(1, horizon + 1):
+        a, b = tail.digit(i), alpha.digit(i)
+        if a != b:
+            return -1 if a < b else 1
+    raise PrecisionError(f"lexicographic comparison undecided after {horizon} digits")
+
+
+def seq_uniqueness_verdict(seq: Seq, q, config: RunConfig = DEFAULT_CONFIG) -> UniquenessVerdict:
+    """The uniqueness verdict computed with a canonical Seq per position:
+    each tail is c.shift(k), its reflection a further Seq.map."""
+    for d in seq.preperiod + seq.period:
+        if d not in (-1, 0, 1):
+            raise DomainError(f"digit {d!r} is not ternary")
+    alpha = alpha_digits(q, config)
+    c = seq.map(lambda d: d + 1)
+    for k in range(1, len(c.preperiod) + len(c.period) + 1):
+        d = c.digit(k)
+        tail = c.shift(k)
+        if d < 2 and _compare_seq_with_alpha(tail, alpha, config) >= 0:
+            return UniquenessVerdict(False, k, "tail")
+        if d > 0 and _compare_seq_with_alpha(
+                tail.map(lambda x: 2 - x), alpha, config) >= 0:
+            return UniquenessVerdict(False, k, "reflected_tail")
+    return UniquenessVerdict(True)
 
 
 def float_bisect(poly, lo: float, hi: float, iters: int = 100) -> float:

@@ -15,6 +15,7 @@ from gasket_spectrum.bases import (
     kl_constant,
     ladder_word,
 )
+from gasket_spectrum.config import RunConfig
 from gasket_spectrum.errors import (
     AmbiguousClassificationError,
     DomainError,
@@ -51,6 +52,16 @@ def test_ladder_word_bounds():
         ladder_word(0)
     with pytest.raises(PrecisionError):
         ladder_word(7, max_index=6)
+
+
+def test_base_root_cap_builds_no_ladder_word():
+    # The cap is checked on the index; no 2^(n-1)-digit word is built for it.
+    bases._ladder.cache_clear()
+    base_root(9)
+    assert bases._ladder.cache_info().currsize == 0
+    with pytest.raises(PrecisionError, match="ladder index 9 exceeds cap 8"):
+        base_root(9, config=RunConfig(max_ladder_index=8))
+    assert bases._ladder.cache_info().currsize == 0
 
 
 def test_base_root_first_is_exact():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gasket_spectrum import bases, expansions
-from gasket_spectrum.errors import DomainError
+from gasket_spectrum.errors import DomainError, PrecisionError
 from gasket_spectrum.expansions import (
     KLTailDescriptor,
     catalogue_tail,
@@ -28,6 +28,7 @@ from helpers import (
     lex_largest_prefix_bruteforce,
     partial_sum,
     residual_unique,
+    seq_uniqueness_verdict,
     seq_value,
 )
 
@@ -141,8 +142,6 @@ def test_alpha_increasing_in_q():
 
 
 def test_alpha_enclosure_gives_certified_digits_then_raises():
-    from gasket_spectrum.errors import PrecisionError
-
     b = bases.BaseValue(Fraction("2.45"), Fraction("2.46"))
     lo = quasi_greedy_alpha(Fraction("2.45"), 64)
     hi = quasi_greedy_alpha(Fraction("2.46"), 64)
@@ -235,6 +234,46 @@ def test_uniqueness_verdict_reports_clause():
     assert v.clause == "reflected_tail"
     ok = uniqueness_verdict(Seq((), (0,)), Fraction(49, 20))
     assert ok.unique and ok.failing_index is None
+
+
+def _verdict_or_error(verdict_fn, seq, q):
+    try:
+        return verdict_fn(seq, q)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_uniqueness_matches_seq_oracle():
+    # Index reads on one digit tuple against a canonical Seq per position:
+    # same verdict, failing index and clause, or the same error and message.
+    rng = random.Random(31)
+    corpus = [Seq(tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 4))),
+                  tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(1, 8))))
+              for _ in range(40)]
+    for n in range(10):
+        corpus += [catalogue_tail(n), catalogue_tail(n).reflect()]
+    corpus += [Seq((), tuple(d - 1 for d in bases.ladder_word(n).word)) for n in range(1, 8)]
+    kl = bases.kl_constant()
+    roots = [bases.base_root(n) for n in (2, 3, 5, 8)]
+    qs = [Fraction(21, 10), Fraction(49, 20), Fraction(5, 2), Fraction(2561, 1000),
+          Fraction(27, 10), Fraction(2999, 1000), *roots, kl,
+          bases.BaseValue(kl.lo, kl.hi), bases.BaseValue(roots[1].lo, roots[1].hi)]
+    outcomes = []
+    for q in qs:
+        for s in corpus:
+            got = _verdict_or_error(uniqueness_verdict, s, q)
+            assert got == _verdict_or_error(seq_uniqueness_verdict, s, q), (s, q)
+            outcomes.append(got.unique if isinstance(got, expansions.UniquenessVerdict)
+                            else got[0])
+    assert {True, False, PrecisionError} <= set(outcomes)
+
+
+def test_long_catalogue_tail_unique():
+    # 4096-digit period: every position is compared, each against alpha.
+    tail = catalogue_tail(12)
+    for q in (Fraction(2561, 1000), Fraction(27, 10), Fraction(2999, 1000)):
+        assert is_unique_expansion(tail, q)
+        assert is_unique_expansion(tail.reflect(), q)
 
 
 def test_uniqueness_rejects_bad_digits():

@@ -145,7 +145,6 @@ def test_cylinder_tree_structure():
     t = e_seq(1, 1, 2)
     tree = cylinder_tree("2.5", t, 8)
     assert len(tree.branch_sets) == 8
-    assert tree.count() == 3 ** 4
     for i, s in enumerate(tree.branch_sets, start=1):
         assert len(s) == (3 if t.digit(i) == (0, 0) else 1)
 

@@ -16,7 +16,6 @@ from gasket_spectrum.matching import (
     b_blocks,
     block_word,
     e_seq,
-    verify_block_concatenation,
     verify_bump_witnesses,
     verify_cross_scale,
     verify_shift_trichotomy,
@@ -176,32 +175,6 @@ def test_b_blocks_lengths_and_identity():
         # the second block extends the calculus: it equals the block two scales up
         assert blocks[1] == tm_block(n + 2)
         assert blocks[0] == dec_last(tm_block(n + 2))
-
-
-def test_block_concatenation_witnesses():
-    rep = verify_block_concatenation(3, (1, 2))
-    assert rep.passed
-    assert rep.stats["inconclusive"] == 0
-    by_shift = {w["i"]: w for w in rep.witnesses}
-    assert 2 in by_shift
-
-
-def test_block_concatenation_all_patterns():
-    for x in range(1, 5):
-        for y in range(1, 5):
-            rep = verify_block_concatenation(4, (x, y))
-            assert rep.passed
-            assert rep.stats["inconclusive"] == 0
-            assert len(rep.witnesses) + len(rep.stats["matched_exceptions"]) == 2 ** 5 - 1
-
-
-def test_block_concatenation_rejects_bad_input():
-    with pytest.raises(DomainError):
-        verify_block_concatenation(2, (1, 2))
-    with pytest.raises(DomainError):
-        verify_block_concatenation(3, (1,))
-    with pytest.raises(DomainError):
-        verify_block_concatenation(3, (1, 5))
 
 
 def test_reflection_symmetry_of_matching():
