@@ -27,13 +27,16 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 
-from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     AmbiguousClassificationError,
     DomainError,
     PrecisionError,
 )
 from .words import Word, inc_last, reflect2, tm_diff
+
+DEFAULT_TOLERANCE = 1e-12  # enclosure width asked of roots and of the limit base
+MAX_LADDER_INDEX = 24  # ladder word 24 has 2^23 digits
+LADDER_DIGITS_CAP = 460  # deepest enclosure, in decimal digits
 
 
 @dataclass(frozen=True)
@@ -135,14 +138,17 @@ def _ladder(n: int) -> Word:
     return inc_last(w + reflect2(w), alphabet_max=2)
 
 
-def ladder_word(n: int, max_index: int | None = None) -> LadderWord:
-    """n-th ladder word over {0,1,2}: start at "2", append the {0,1,2}-reflection,
-    increment the last digit. Length 2^(n-1)."""
-    cap = DEFAULT_CONFIG.max_ladder_index if max_index is None else max_index
+def _check_ladder_index(n: int) -> None:
     if n < 1:
         raise DomainError("ladder index must be >= 1")
-    if n > cap:
-        raise PrecisionError(f"ladder index {n} exceeds cap {cap}")
+    if n > MAX_LADDER_INDEX:
+        raise PrecisionError(f"ladder index {n} exceeds cap {MAX_LADDER_INDEX}")
+
+
+def ladder_word(n: int) -> LadderWord:
+    """n-th ladder word over {0,1,2}: start at "2", append the {0,1,2}-reflection,
+    increment the last digit. Length 2^(n-1)."""
+    _check_ladder_index(n)
     return LadderWord(n, _ladder(n))
 
 
@@ -165,19 +171,11 @@ def _ladder_value_dec(q: Decimal, n: int) -> Decimal:
     return v
 
 
-def _ladder_value_exact(q: Fraction, n: int) -> Fraction:
-    """Direct Horner evaluation of sum_i w_n[i] q^-i; used as an independent check."""
-    s = Fraction(0)
-    for d in reversed(ladder_word(n).word):
-        s = (s + d) / q
-    return s
-
-
-def _width_digits(n: int, tolerance: float, cap: int) -> int:
+def _width_digits(n: int, tolerance: float) -> int:
     from math import ceil, log10
     tol_digits = 15 if tolerance <= 0 else max(1, int(ceil(-log10(tolerance))))
     sep_digits = int(ceil(0.404 * (2 ** (n - 1)))) + 30
-    return min(max(tol_digits, sep_digits, 40), cap)
+    return min(max(tol_digits, sep_digits, 40), LADDER_DIGITS_CAP)
 
 
 def _certified_sign(valfn, mid: Decimal, prec: int) -> int:
@@ -213,22 +211,17 @@ def _root(n: int, digits: int) -> BaseValue:
     return BaseValue(Fraction(lo), Fraction(hi), ladder_index=n)
 
 
-def base_root(n: int, tolerance: float | None = None,
-              config: RunConfig = DEFAULT_CONFIG) -> BaseValue:
+def base_root(n: int, tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
     """Unique root in [2, 3) of 1 = V_n(q), as a certified rational enclosure.
 
     The enclosure width is min(tolerance, adaptive separation width); the
     adaptive schedule keeps consecutive roots' enclosures disjoint through
     n = 12 under the default digit cap.
     """
-    if n < 1:
-        raise DomainError("ladder index must be >= 1")
-    if n > config.max_ladder_index:
-        raise PrecisionError(f"ladder index {n} exceeds cap {config.max_ladder_index}")
+    _check_ladder_index(n)
     if n == 1:
         return BaseValue(Fraction(2), Fraction(2), ladder_index=1)
-    tol = config.tolerance if tolerance is None else tolerance
-    return _root(n, _width_digits(n, tol, config.ladder_digits_cap))
+    return _root(n, _width_digits(n, tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +269,7 @@ def _kl(digits: int) -> BaseValue:
     return BaseValue(Fraction(lo), Fraction(hi), is_kl=True)
 
 
-def kl_constant(tolerance: float | None = None,
-                config: RunConfig = DEFAULT_CONFIG) -> BaseValue:
+def kl_constant(tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
     """Certified enclosure of the Komornik-Loreti constant for alphabet {0,1,2}.
 
     Bisects on the value of the full limit word directly (exact tail bounds),
@@ -286,20 +278,18 @@ def kl_constant(tolerance: float | None = None,
     limit at double-exponential speed, so anything wider would not even sit
     above the n = 8 root.
     """
-    tol = config.tolerance if tolerance is None else tolerance
-    tol = Fraction(tol)
+    tol = Fraction(tolerance)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     tol_digits = 1
     step = Fraction(1, 10)
-    while step > tol and tol_digits <= config.ladder_digits_cap:
+    while step > tol and tol_digits <= LADDER_DIGITS_CAP:
         step /= 10
         tol_digits += 1
     digits = max(tol_digits, _KL_INTERNAL_DIGITS)
-    if digits > config.ladder_digits_cap:
+    if digits > LADDER_DIGITS_CAP:
         raise PrecisionError(
-            f"tolerance {float(tol)} needs {digits} digits, beyond cap "
-            f"{config.ladder_digits_cap}")
+            f"tolerance {float(tol)} needs {digits} digits, beyond cap {LADDER_DIGITS_CAP}")
     return _kl(digits)
 
 
@@ -307,7 +297,7 @@ def kl_constant(tolerance: float | None = None,
 # Classification
 # ---------------------------------------------------------------------------
 
-def classify(q, config: RunConfig = DEFAULT_CONFIG) -> RegimeLabel:
+def classify(q, tolerance: float = DEFAULT_TOLERANCE) -> RegimeLabel:
     """Regime of a base: finite band (q_m, q_{m+1}], the Komornik-Loreti point,
     or the interval regime above it.
 
@@ -323,7 +313,7 @@ def classify(q, config: RunConfig = DEFAULT_CONFIG) -> RegimeLabel:
     if b.is_kl:
         return RegimeLabel("komornik_loreti")
     require_working_base(b)
-    kl = kl_constant(config=config)
+    kl = kl_constant(tolerance)
     if b.lo > kl.hi:
         return RegimeLabel("interval")
     if b.hi >= kl.lo:
@@ -333,9 +323,9 @@ def classify(q, config: RunConfig = DEFAULT_CONFIG) -> RegimeLabel:
             pass
         else:
             return RegimeLabel("komornik_loreti")
-    prev = base_root(1, config=config)
-    for n in range(2, config.max_ladder_index + 1):
-        qn = base_root(n, config=config)
+    prev = base_root(1, tolerance)
+    for n in range(2, MAX_LADDER_INDEX + 1):
+        qn = base_root(n, tolerance)
         if qn.lo > b.hi:
             if prev.hi < b.lo:
                 return RegimeLabel("finite", n - 1)
@@ -346,5 +336,5 @@ def classify(q, config: RunConfig = DEFAULT_CONFIG) -> RegimeLabel:
                 f"enclosure straddles ladder point {n}")
         prev = qn
     raise PrecisionError(
-        f"no band found below the ladder cap {config.max_ladder_index}; "
+        f"no band found below the ladder cap {MAX_LADDER_INDEX}; "
         "the base is too close to the Komornik-Loreti constant")

@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import bases, expansions, geometry, matching, spectrum
+from . import bases, expansions, geometry, matching, spectrum, words
 from .config import RunConfig, load_config
 from .errors import DomainError, GasketError, PrecisionError, ResourceLimitError
 from .report import Report, decimal_str, fraction_str
@@ -34,7 +34,8 @@ def _parent_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="path to a JSON config file (env GS_CONFIG)")
     p.add_argument("--tolerance", type=float, help="enclosure tolerance (env GS_TOLERANCE)")
     p.add_argument("--max-n", type=int, dest="max_block_exponent",
-                   help="block exponent cap (env GS_MAX_N)")
+                   help="block exponent cap; can only lower the built-in cap of "
+                        f"{words.MAX_BLOCK_EXPONENT} (env GS_MAX_N)")
     p.add_argument("--timing", action="store_true",
                    help="report wall-clock timing (breaks byte determinism)")
     return p
@@ -47,8 +48,7 @@ or as comma lists (1,0,-1). Example: '+0;-0^inf' is preperiod +0 with
 period -0 repeating. A value starting with '-' must be passed in the
 '--opt=value' form. Environment: GS_TOLERANCE, GS_MAX_N, GS_KL_TERMS,
 GS_FORMAT, GS_CONFIG. Precedence: flags > environment > config file >
-defaults. Flags such as --format go after the subcommand. The uniqueness
-test settles each comparison within alpha_horizon_max (config file) digits.
+defaults. Flags such as --format go after the subcommand.
 """
 
 
@@ -123,7 +123,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _parse_base(text: str, config: RunConfig) -> bases.BaseValue:
     if text.strip().lower() in ("kl", "q_kl", "qkl"):
-        return bases.kl_constant(config=config)
+        return bases.kl_constant(config.tolerance)
     return bases.as_base_value(text)
 
 
@@ -142,8 +142,8 @@ def _cmd_bases(args, config):
     rows = []
     prev_mid = None
     for n in range(1, args.bases_max_n + 1):
-        w = bases.ladder_word(n, max_index=config.max_ladder_index)
-        r = bases.base_root(n, tolerance=args.tolerance, config=config)
+        w = bases.ladder_word(n)
+        r = bases.base_root(n, config.tolerance)
         gap = None if prev_mid is None else float(r.midpoint - prev_mid)
         prev_mid = r.midpoint
         rows.append({
@@ -154,7 +154,7 @@ def _cmd_bases(args, config):
             "value": r.value,
             "gap_from_previous": gap,
         })
-    kl = bases.kl_constant(args.tolerance, config=config)
+    kl = bases.kl_constant(config.tolerance)
     result = {
         "rows": rows,
         "kl": {"lo": decimal_str(kl.lo, 40), "hi": decimal_str(kl.hi, 40), "value": kl.value},
@@ -168,7 +168,7 @@ def _cmd_bases(args, config):
 
 
 def _cmd_classify(args, config):
-    label = bases.classify(_parse_base(args.q, config), config)
+    label = bases.classify(_parse_base(args.q, config), config.tolerance)
     result = {"regime": label.to_json_dict()}
     text = label.kind if label.m is None else f"{label.kind} m={label.m}"
     return result, [f"  regime: {text}"]
@@ -191,7 +191,7 @@ def _cmd_expand(args, config):
 def _cmd_unique(args, config):
     q = _parse_base(args.q, config)
     seq = parse_seq(args.seq)
-    verdict = expansions.uniqueness_verdict(seq, q, config)
+    verdict = expansions.uniqueness_verdict(seq, q)
     result = {"seq": format_seq(seq), "verdict": verdict.to_json_dict()}
     if verdict.unique:
         lines = ["  unique: yes"]
@@ -218,10 +218,11 @@ def _cmd_density(args, config):
 
 def _cmd_verify(args, config):
     scale = max(args.n, args.m or 0) if args.lemma == "3.4" else args.n
-    if scale + 2 > config.max_block_exponent:
+    cap = min(config.max_block_exponent, words.MAX_BLOCK_EXPONENT)
+    if scale + 2 > cap:
         raise ResourceLimitError(
             f"scale {scale} needs block exponent {scale + 2}, beyond the cap "
-            f"{config.max_block_exponent} (GS_MAX_N / --max-n)")
+            f"{cap} (GS_MAX_N / --max-n)")
     rep = CHECK_RUNNERS[args.lemma](args)
     result = rep.to_json_dict()
     lines = [f"  check {args.lemma}: {'pass' if rep.passed else 'FAIL'}"]
@@ -264,13 +265,12 @@ def _cmd_render(args, config):
         image_format = args.render_format
     clouds = []
     if "e" in layers:
-        clouds.append(geometry.build_gasket(q, args.depth, config))
+        clouds.append(geometry.build_gasket(q, args.depth))
     if "et" in layers:
         t = geometry.translation_point(q, pair)
-        clouds.append(geometry.build_gasket(q, args.depth, config,
-                                            translate=t, kind="E_plus_t"))
+        clouds.append(geometry.build_gasket(q, args.depth, translate=t, kind="E_plus_t"))
     if "int" in layers:
-        clouds.append(geometry.build_intersection(q, pair, args.depth, config))
+        clouds.append(geometry.build_intersection(q, pair, args.depth))
     if image_format == "svg":
         geometry.emit_svg(clouds, args.out)
     else:

@@ -6,9 +6,9 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 
+from .bases import DEFAULT_TOLERANCE
 from .errors import DomainError
-
-ENV_PREFIX = "GS_"
+from .words import MAX_BLOCK_EXPONENT
 
 # Environment variable names, documented in the README.
 ENV_KEYS = {
@@ -19,29 +19,14 @@ ENV_KEYS = {
     "GS_CONFIG": None,  # path to a config file, handled separately
 }
 
-_INT_FIELDS = {
-    "max_block_exponent",
-    "kl_terms",
-    "alpha_horizon_max",
-    "max_ladder_index",
-    "ladder_digits_cap",
-    "sft_max_n",
-    "max_render_depth",
-    "max_word_length",
-}
+_INT_FIELDS = {"max_block_exponent", "kl_terms"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    tolerance: float = 1e-12
-    max_block_exponent: int = 24
+    tolerance: float = DEFAULT_TOLERANCE
+    max_block_exponent: int = MAX_BLOCK_EXPONENT
     kl_terms: int = 32
-    alpha_horizon_max: int = 4096
-    max_ladder_index: int = 24
-    ladder_digits_cap: int = 460
-    sft_max_n: int = 12
-    max_render_depth: int = 12
-    max_word_length: int = 1 << 24
     output_format: str = "text"
 
     def __post_init__(self) -> None:

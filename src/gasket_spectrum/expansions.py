@@ -20,7 +20,7 @@ periodic input only finitely many distinct (digit, tail) pairs occur, so the
 check terminates. The candidate digits sit in one tuple read by index, and
 each tail is compared with certified digits of alpha in one pass. Against a
 periodic alpha the pass has an exact length; otherwise a tie must be settled
-within alpha_horizon_max digits, or the check fails loudly (PrecisionError).
+within ALPHA_HORIZON digits, or the check fails loudly (PrecisionError).
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ from functools import lru_cache
 from math import lcm
 
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
-from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError, PrecisionError, ResourceLimitError
 from .words import Seq, Word, dec_last, reflect, tm_block, tm_diff
+
+ALPHA_HORIZON = 4096  # digits of a non-periodic alpha that a comparison may read
+MAX_WORD_LENGTH = 1 << 24  # longest tail word kl_tail builds
 
 
 def interval_bound(q: Fraction) -> Fraction:
@@ -105,8 +107,7 @@ class AlphaDigits:
     expansions agree; asking past the agreement point raises PrecisionError.
     """
 
-    def __init__(self, base: BaseValue, config: RunConfig = DEFAULT_CONFIG):
-        self.config = config
+    def __init__(self, base: BaseValue):
         self._lock = threading.Lock()  # the cache hands one instance to every thread
         self._digits: list[int] = []
         self.periodic: tuple[Word, Word] | None = None  # (preperiod, period)
@@ -126,8 +127,8 @@ class AlphaDigits:
         else:
             require_working_base(base)
             self._kind = "enclosure"
-            self._lo_stream = AlphaDigits(BaseValue(base.lo, base.lo), config)
-            self._hi_stream = AlphaDigits(BaseValue(base.hi, base.hi), config)
+            self._lo_stream = AlphaDigits(BaseValue(base.lo, base.lo))
+            self._hi_stream = AlphaDigits(BaseValue(base.hi, base.hi))
 
     def digit(self, i: int) -> int:
         """1-based certified digit; raises PrecisionError past the horizon cap."""
@@ -140,9 +141,8 @@ class AlphaDigits:
             return per[(i - 1 - len(pre)) % len(per)]
         if self._kind == "kl":
             return tm_diff(i) + 1
-        if i > self.config.alpha_horizon_max:
-            raise PrecisionError(
-                f"alpha digit {i} exceeds the horizon cap {self.config.alpha_horizon_max}")
+        if i > ALPHA_HORIZON:
+            raise PrecisionError(f"alpha digit {i} exceeds the horizon cap {ALPHA_HORIZON}")
         if self._kind == "enclosure":
             a, b = self._lo_stream.digit(i), self._hi_stream.digit(i)
             if a != b:
@@ -164,19 +164,19 @@ class AlphaDigits:
 
 
 @lru_cache(maxsize=256)  # bounded: every rational base would otherwise stay for good
-def _alpha(b: BaseValue, config: RunConfig) -> AlphaDigits:
-    return AlphaDigits(b, config)
+def _alpha(b: BaseValue) -> AlphaDigits:
+    return AlphaDigits(b)
 
 
-def alpha_digits(q, config: RunConfig = DEFAULT_CONFIG) -> AlphaDigits:
-    return _alpha(as_base_value(q), config)
+def alpha_digits(q) -> AlphaDigits:
+    return _alpha(as_base_value(q))
 
 
-def quasi_greedy_alpha(q, depth: int, config: RunConfig = DEFAULT_CONFIG) -> Word:
+def quasi_greedy_alpha(q, depth: int) -> Word:
     """First digits of the quasi-greedy expansion of 1 over {0, 1, 2}."""
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    return alpha_digits(q, config).word(depth)
+    return alpha_digits(q).word(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ class UniquenessVerdict:
         return d
 
 
-def uniqueness_verdict(seq: Seq, q, config: RunConfig = DEFAULT_CONFIG) -> UniquenessVerdict:
+def uniqueness_verdict(seq: Seq, q) -> UniquenessVerdict:
     """Full verdict with the failing position and violated clause on rejection.
 
     The digits are shifted to {0, 1, 2} once and read by index. Each tail is
@@ -208,14 +208,14 @@ def uniqueness_verdict(seq: Seq, q, config: RunConfig = DEFAULT_CONFIG) -> Uniqu
     for d in digits:
         if d not in (-1, 0, 1):
             raise DomainError(f"digit {d!r} is not ternary")
-    alpha = alpha_digits(q, config)
+    alpha = alpha_digits(q)
     c = tuple(d + 1 for d in digits)
     pre, per = len(seq.preperiod), len(seq.period)
     if alpha.periodic is not None:
         pre_a, per_a = alpha.periodic
         limit = pre + len(pre_a) + lcm(per, len(per_a)) + 1
     else:
-        limit = config.alpha_horizon_max
+        limit = ALPHA_HORIZON
 
     def at(j: int) -> int:
         return c[j - 1] if j <= pre else c[pre + (j - 1 - pre) % per]
@@ -239,8 +239,8 @@ def uniqueness_verdict(seq: Seq, q, config: RunConfig = DEFAULT_CONFIG) -> Uniqu
     return UniquenessVerdict(True)
 
 
-def is_unique_expansion(seq: Seq, q, config: RunConfig = DEFAULT_CONFIG) -> bool:
-    return uniqueness_verdict(seq, q, config).unique
+def is_unique_expansion(seq: Seq, q) -> bool:
+    return uniqueness_verdict(seq, q).unique
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +258,7 @@ def catalogue_tail(n: int) -> Seq:
     return Seq((), e + reflect(e))
 
 
-def find_unique_with_tail(tail: Seq, q, max_preperiod: int = 64,
-                          config: RunConfig = DEFAULT_CONFIG) -> Seq | None:
+def find_unique_with_tail(tail: Seq, q, max_preperiod: int = 64) -> Seq | None:
     """Search for a unique expansion ending with the given periodic tail.
 
     Preperiods 0^k, k = 0..max_preperiod, are tried in order and validated by
@@ -267,7 +266,7 @@ def find_unique_with_tail(tail: Seq, q, max_preperiod: int = 64,
     """
     for k in range(max_preperiod + 1):
         cand = Seq((0,) * k + tail.preperiod, tail.period)
-        if is_unique_expansion(cand, q, config):
+        if is_unique_expansion(cand, q):
             return cand
     return None
 
@@ -298,11 +297,11 @@ class KLTailDescriptor:
             raise DomainError("truncation must be positive")
 
 
-def kl_tail(desc: KLTailDescriptor, config: RunConfig = DEFAULT_CONFIG) -> Word:
+def kl_tail(desc: KLTailDescriptor) -> Word:
     """Concatenated block word of the descriptor, truncated to its length."""
-    if desc.truncate > config.max_word_length:
+    if desc.truncate > MAX_WORD_LENGTH:
         raise ResourceLimitError(
-            f"requested length {desc.truncate} exceeds cap {config.max_word_length}")
+            f"requested length {desc.truncate} exceeds cap {MAX_WORD_LENGTH}")
     if not any(desc.j) and not any(desc.l):
         raise DomainError("descriptor generates no digits")
     out: list[int] = []

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bases import as_base_value, require_working_base
-from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError, ResourceLimitError
 from .matching import OMEGA1, OMEGA2, analyze
 from .words import Seq
+
+MAX_RENDER_DEPTH = 12  # 3^12 points per gasket layer
 
 # Branch sets: for each admissible difference digit t, the gasket digits a with
 # a - t again a gasket digit. Size 3 exactly at t = (0,0), otherwise size 1.
@@ -49,19 +50,17 @@ class PointCloud:
                 "count": len(self.points)}
 
 
-def _check_depth(depth: int, config: RunConfig) -> None:
+def _check_depth(depth: int) -> None:
     if depth < 1:
         raise DomainError("depth must be positive")
-    if depth > config.max_render_depth:
-        raise ResourceLimitError(
-            f"depth {depth} exceeds cap {config.max_render_depth}")
+    if depth > MAX_RENDER_DEPTH:
+        raise ResourceLimitError(f"depth {depth} exceeds cap {MAX_RENDER_DEPTH}")
 
 
-def cylinder_tree(q, t_seq: Seq, depth: int,
-                  config: RunConfig = DEFAULT_CONFIG) -> CylinderTree:
+def cylinder_tree(q, t_seq: Seq, depth: int) -> CylinderTree:
     """Branch sets of the intersection cylinder along the first depth digits."""
     b = require_working_base(as_base_value(q))
-    _check_depth(depth, config)
+    _check_depth(depth)
     report = analyze(t_seq)
     if not report.matched:
         raise DomainError(
@@ -85,12 +84,11 @@ def _digit_points(q: float, depth: int, choices) -> tuple:
     return tuple(pts)
 
 
-def build_gasket(q, depth: int, config: RunConfig = DEFAULT_CONFIG,
-                 translate: tuple[float, float] = (0.0, 0.0),
+def build_gasket(q, depth: int, translate: tuple[float, float] = (0.0, 0.0),
                  kind: str = "E") -> PointCloud:
     """All 3^depth cylinder points of the gasket (optionally translated)."""
     b = require_working_base(as_base_value(q))
-    _check_depth(depth, config)
+    _check_depth(depth)
     qf = b.value
     pts = _digit_points(qf, depth, product(OMEGA1, repeat=depth))
     if translate != (0.0, 0.0):
@@ -99,10 +97,9 @@ def build_gasket(q, depth: int, config: RunConfig = DEFAULT_CONFIG,
     return PointCloud(kind=kind, q=qf, depth=depth, points=pts)
 
 
-def build_intersection(q, t_seq: Seq, depth: int,
-                       config: RunConfig = DEFAULT_CONFIG) -> PointCloud:
+def build_intersection(q, t_seq: Seq, depth: int) -> PointCloud:
     """Points of the intersection cylinder set at the given depth."""
-    tree = cylinder_tree(q, t_seq, depth, config)
+    tree = cylinder_tree(q, t_seq, depth)
     pts = _digit_points(tree.q, depth, product(*tree.branch_sets))
     return PointCloud(kind="intersection", q=tree.q, depth=depth, points=pts)
 

@@ -38,8 +38,8 @@ def _residual_unique_oracle(seq: words.Seq, q: Fraction) -> bool:
 
 
 def _band_midpoint(m: int, config: RunConfig) -> bases.BaseValue:
-    lo = bases.base_root(m, config=config)
-    hi = bases.base_root(m + 1, config=config)
+    lo = bases.base_root(m, config.tolerance)
+    hi = bases.base_root(m + 1, config.tolerance)
     mid = (lo.hi + hi.lo) / 2
     return bases.BaseValue(mid, mid)
 
@@ -87,9 +87,9 @@ def _check_cross_scale(config: RunConfig) -> str:
     return "cross-scale match certificates for 1 <= n <= m <= 7"
 
 def _check_ladder(config: RunConfig) -> str:
-    r1 = bases.base_root(1, config=config)
+    r1 = bases.base_root(1, config.tolerance)
     _require(r1.lo == r1.hi == 2)
-    r2 = bases.base_root(2, config=config)
+    r2 = bases.base_root(2, config.tolerance)
     lo, hi = 2.0, 3.0
     for _ in range(80):  # independent float bisection on q^2 - 2q - 1
         mid = (lo + hi) / 2
@@ -100,16 +100,16 @@ def _check_ladder(config: RunConfig) -> str:
     _require(abs(r2.value - (lo + hi) / 2) < 1e-12)
     prev = r1
     for n in range(2, 13):
-        rn = bases.base_root(n, config=config)
+        rn = bases.base_root(n, config.tolerance)
         _require(prev.hi < rn.lo, f"enclosures {n - 1} and {n} overlap")
         prev = rn
     return "root enclosures exact at 1, match the quadratic at 2, disjoint through 12"
 
 def _check_kl(config: RunConfig) -> str:
-    kl = bases.kl_constant(1e-10, config=config)
-    q8 = bases.base_root(8, config=config)
+    kl = bases.kl_constant(1e-10)
+    q8 = bases.base_root(8, config.tolerance)
     _require(q8.hi < kl.lo < kl.hi < 3)
-    kl6 = bases.kl_constant(1e-6, config=config)
+    kl6 = bases.kl_constant(1e-6)
     _require(kl6.lo <= kl.lo and kl.hi <= kl6.hi)
     return "limit enclosure sits above the 8th root and nests across tolerances"
 
@@ -118,10 +118,10 @@ def _check_spectra(config: RunConfig) -> str:
     s = spectrum.spectrum_of("2.2", config)
     _require(s.regime.kind == "finite" and s.regime.m == 1 and s.family is None)
     _require(sorted(s.isolated) == sorted((0.0, math.log(3) / math.log(2.2))))
-    s3 = spectrum.spectrum_of(bases.base_root(3, config=config), config)
+    s3 = spectrum.spectrum_of(bases.base_root(3, config.tolerance), config)
     _require(s3.regime.m == 2 and s3.family is not None)
     _require(s3.family.terms == (Fraction(1, 2),))
-    kl = bases.kl_constant(config=config)
+    kl = bases.kl_constant(config.tolerance)
     skl = spectrum.spectrum_of(kl, config)
     _require(len(skl.isolated) == 3 and skl.family is not None)
     for k, t in enumerate(skl.family.terms, start=1):
@@ -133,7 +133,7 @@ def _check_spectra(config: RunConfig) -> str:
 def _check_sft(config: RunConfig) -> str:
     for qs in ("2.6", "2.75", "2.9"):
         spec = spectrum.sft_spec(qs, config)
-        _require(spec.n <= config.sft_max_n)
+        _require(spec.n <= spectrum.SFT_MAX_N)
         d1, d2 = spectrum.sft_densities(spec)
         _require(d1 < d2)
         for path in spectrum.U1_PATHS + spectrum.U2_PATHS:
@@ -148,11 +148,11 @@ def _check_uniqueness_concordance(config: RunConfig) -> str:
         q = _band_midpoint(m, config)
         for n in range(0, m):
             found = expansions.find_unique_with_tail(
-                expansions.catalogue_tail(n), q, max_preperiod=4, config=config)
+                expansions.catalogue_tail(n), q, max_preperiod=4)
             _require(found is not None, (m, n))
         for n in (m, m + 1):
             found = expansions.find_unique_with_tail(
-                expansions.catalogue_tail(n), q, max_preperiod=8, config=config)
+                expansions.catalogue_tail(n), q, max_preperiod=8)
             _require(found is None, (m, n))
     return "catalogue tails accepted below the band index and rejected from it up"
 
@@ -169,7 +169,7 @@ def _check_uniqueness_oracle(config: RunConfig) -> str:
         seqs.append(words.Seq(pre, per))
     for q in grid:
         for s in seqs:
-            lex = expansions.is_unique_expansion(s, q, config)
+            lex = expansions.is_unique_expansion(s, q)
             res = _residual_unique_oracle(s, q)
             _require(lex == res, (q, s, lex, res))
     return "lexicographic and residual uniqueness decisions agree on the sample grid"
@@ -185,9 +185,9 @@ def _check_greedy(config: RunConfig) -> str:
 
 def _check_geometry(config: RunConfig) -> str:
     t = matching.e_seq(1, 1, 2)
-    cloud = geometry.build_intersection("2.5", t, 8, config)
+    cloud = geometry.build_intersection("2.5", t, 8)
     _require(len(cloud.points) == 3 ** 4)
-    gasket = geometry.build_gasket("2.5", 5, config)
+    gasket = geometry.build_gasket("2.5", 5)
     _require(len(gasket.points) == 3 ** 5 == len(set(gasket.points)))
     import os
     import tempfile
@@ -200,7 +200,7 @@ def _check_geometry(config: RunConfig) -> str:
     return "counting law, distinct cylinder points, and byte-stable rendering"
 
 def _check_kl_density(config: RunConfig) -> str:
-    rep = spectrum.kl_density_check(2 ** 14, config=config)
+    rep = spectrum.kl_density_check(2 ** 14)
     _require(rep.passed, rep.counterexamples)
     fam = {row["family"]: row for row in rep.stats["families"]}
     _require(fam["j=1,l=1"]["abs_dev"] < Fraction(1, 384))

@@ -26,6 +26,7 @@ from .words import Seq, Word, reflect, tm_block
 # a -> {b, abar}, b -> {abar}, abar -> {a, bbar}, bbar -> {a}.
 SFT_MATRIX = ((0, 1, 1, 0), (0, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0))
 SFT_LETTER_ORDER = ("a", "b", "abar", "bbar")
+SFT_MAX_N = 12  # largest letter scale sft_spec tries
 
 
 def zero_fraction(word: Word) -> Fraction:
@@ -140,21 +141,21 @@ def sft_spec(q, config: RunConfig = DEFAULT_CONFIG) -> SFTSpec:
     larger one pass), so the search walks n = 1, 2, ... up to the cap.
     """
     b = as_base_value(q)
-    label = classify(b, config)
+    label = classify(b, config.tolerance)
     if label.kind != "interval":
         raise DomainError("the subshift construction applies above the Komornik-Loreti base")
     failures = []
-    for n in range(1, config.sft_max_n + 1):
+    for n in range(1, SFT_MAX_N + 1):
         letters = sft_letters(n)
         paths = list(U1_PATHS + U2_PATHS)
         paths.append(U1_PATHS[0] + U2_PATHS[0])
         paths.append(U1_PATHS[1] + U2_PATHS[1])
         words = [Seq((), _path_word(letters, p)) for p in paths]
-        if all(is_unique_expansion(w, b, config) for w in words):
+        if all(is_unique_expansion(w, b) for w in words):
             return SFTSpec(n=n, letters=letters, base=b)
         failures.append(n)
     raise CapabilityError(
-        f"no letter scale up to {config.sft_max_n} embeds in the unique-expansion "
+        f"no letter scale up to {SFT_MAX_N} embeds in the unique-expansion "
         f"set at q ~ {b.value}; failed scales: {failures}")
 
 
@@ -230,8 +231,8 @@ def interval_witness(spec: SFTSpec, target, length: int) -> WitnessPrefix:
 # Density bounds for the aperiodic tails at the Komornik-Loreti base
 # ---------------------------------------------------------------------------
 
-def kl_density_check(horizon: int, scales: tuple[int, ...] = (1, 2, 3, 4, 5, 6),
-                     config: RunConfig = DEFAULT_CONFIG) -> VerifierReport:
+def kl_density_check(horizon: int,
+                     scales: tuple[int, ...] = (1, 2, 3, 4, 5, 6)) -> VerifierReport:
     """Zero-frequency checks for the aperiodic tail family.
 
     Confirms the exact block densities of the four concatenation blocks
@@ -267,7 +268,7 @@ def kl_density_check(horizon: int, scales: tuple[int, ...] = (1, 2, 3, 4, 5, 6),
     ]
     family_rows = []
     for fam in families:
-        word = kl_tail(fam["desc"], config)
+        word = kl_tail(fam["desc"])
         freq = zero_fraction(word)
         dev = abs(freq - Fraction(1, 3))
         family_rows.append({"family": fam["label"], "freq": freq, "abs_dev": dev,
@@ -359,7 +360,7 @@ def spectrum_of(q, config: RunConfig = DEFAULT_CONFIG) -> DimensionSpectrum:
     plus an interval certified as contained in the spectrum.
     """
     b = as_base_value(q)
-    label = classify(b, config)
+    label = classify(b, config.tolerance)
     log_ratio = math.log(3) / math.log(b.value)
     if label.kind == "finite":
         m = label.m

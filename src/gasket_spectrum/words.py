@@ -11,10 +11,11 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterable
 
-from .config import DEFAULT_CONFIG
 from .errors import DomainError, ResourceLimitError
 
 Word = tuple  # tuple of digits
+
+MAX_BLOCK_EXPONENT = 24  # block 24 has 2^24 digits
 
 
 def thue_morse_bit(i: int) -> int:
@@ -43,17 +44,16 @@ def _block(n: int) -> Word:
     return w + inc_last(reflect(w))
 
 
-def tm_block(n: int, max_exponent: int | None = None) -> Word:
+def tm_block(n: int) -> Word:
     """Length-2^n prefix of the difference sequence.
 
     Built by the doubling rule: block(0) = (1,), block(n+1) = block(n)
     followed by its reflection with the final digit incremented.
     """
-    cap = DEFAULT_CONFIG.max_block_exponent if max_exponent is None else max_exponent
     if n < 0:
         raise DomainError("block exponent must be nonnegative")
-    if n > cap:
-        raise ResourceLimitError(f"block exponent {n} exceeds cap {cap}")
+    if n > MAX_BLOCK_EXPONENT:
+        raise ResourceLimitError(f"block exponent {n} exceeds cap {MAX_BLOCK_EXPONENT}")
     return _block(n)
 
 
@@ -168,20 +168,6 @@ def ternary_seq(preperiod: Iterable[int], period: Iterable[int]) -> Seq:
     for d in s.preperiod + s.period:
         if d not in (-1, 0, 1):
             raise DomainError(f"digit {d!r} is not in the ternary alphabet")
-    return s
-
-
-def pair_seq(preperiod: Iterable, period: Iterable) -> Seq:
-    """Seq over raw digit pairs: both coordinates ternary, pairs unrestricted."""
-    s = Seq(preperiod, period)
-    for p in s.preperiod + s.period:
-        if (
-            not isinstance(p, tuple)
-            or len(p) != 2
-            or p[0] not in (-1, 0, 1)
-            or p[1] not in (-1, 0, 1)
-        ):
-            raise DomainError(f"entry {p!r} is not a pair of ternary digits")
     return s
 
 

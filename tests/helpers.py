@@ -12,9 +12,13 @@ from fractions import Fraction
 from math import gcd
 
 from gasket_spectrum import bases
-from gasket_spectrum.config import DEFAULT_CONFIG, RunConfig
 from gasket_spectrum.errors import DomainError, PrecisionError
-from gasket_spectrum.expansions import AlphaDigits, UniquenessVerdict, alpha_digits
+from gasket_spectrum.expansions import (
+    ALPHA_HORIZON,
+    AlphaDigits,
+    UniquenessVerdict,
+    alpha_digits,
+)
 from gasket_spectrum.words import Seq, Word
 
 
@@ -59,7 +63,7 @@ def residual_unique(seq: Seq, q: Fraction) -> bool:
     return True
 
 
-def _compare_seq_with_alpha(tail: Seq, alpha: AlphaDigits, config: RunConfig) -> int:
+def _compare_seq_with_alpha(tail: Seq, alpha: AlphaDigits) -> int:
     """-1 if tail < alpha lexicographically, +1 if greater, 0 if equal."""
     if alpha.periodic is not None:
         pre_a, per_a = alpha.periodic
@@ -71,31 +75,37 @@ def _compare_seq_with_alpha(tail: Seq, alpha: AlphaDigits, config: RunConfig) ->
             if a != b:
                 return -1 if a < b else 1
         return 0
-    horizon = config.alpha_horizon_max
-    for i in range(1, horizon + 1):
+    for i in range(1, ALPHA_HORIZON + 1):
         a, b = tail.digit(i), alpha.digit(i)
         if a != b:
             return -1 if a < b else 1
-    raise PrecisionError(f"lexicographic comparison undecided after {horizon} digits")
+    raise PrecisionError(f"lexicographic comparison undecided after {ALPHA_HORIZON} digits")
 
 
-def seq_uniqueness_verdict(seq: Seq, q, config: RunConfig = DEFAULT_CONFIG) -> UniquenessVerdict:
+def seq_uniqueness_verdict(seq: Seq, q) -> UniquenessVerdict:
     """The uniqueness verdict computed with a canonical Seq per position:
     each tail is c.shift(k), its reflection a further Seq.map."""
     for d in seq.preperiod + seq.period:
         if d not in (-1, 0, 1):
             raise DomainError(f"digit {d!r} is not ternary")
-    alpha = alpha_digits(q, config)
+    alpha = alpha_digits(q)
     c = seq.map(lambda d: d + 1)
     for k in range(1, len(c.preperiod) + len(c.period) + 1):
         d = c.digit(k)
         tail = c.shift(k)
-        if d < 2 and _compare_seq_with_alpha(tail, alpha, config) >= 0:
+        if d < 2 and _compare_seq_with_alpha(tail, alpha) >= 0:
             return UniquenessVerdict(False, k, "tail")
-        if d > 0 and _compare_seq_with_alpha(
-                tail.map(lambda x: 2 - x), alpha, config) >= 0:
+        if d > 0 and _compare_seq_with_alpha(tail.map(lambda x: 2 - x), alpha) >= 0:
             return UniquenessVerdict(False, k, "reflected_tail")
     return UniquenessVerdict(True)
+
+
+def ladder_value_exact(q: Fraction, n: int) -> Fraction:
+    """Direct Horner evaluation of sum_i w_n[i] q^-i of the n-th ladder word."""
+    s = Fraction(0)
+    for d in reversed(bases.ladder_word(n).word):
+        s = (s + d) / q
+    return s
 
 
 def float_bisect(poly, lo: float, hi: float, iters: int = 100) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 from gasket_spectrum import bases
 from gasket_spectrum.bases import (
+    MAX_LADDER_INDEX,
     BaseValue,
     as_base_value,
     base_root,
@@ -15,7 +16,6 @@ from gasket_spectrum.bases import (
     kl_constant,
     ladder_word,
 )
-from gasket_spectrum.config import RunConfig
 from gasket_spectrum.errors import (
     AmbiguousClassificationError,
     DomainError,
@@ -23,7 +23,7 @@ from gasket_spectrum.errors import (
 )
 from gasket_spectrum.words import tm_block
 
-from helpers import float_bisect
+from helpers import float_bisect, ladder_value_exact
 
 
 def test_ladder_words_small():
@@ -51,7 +51,7 @@ def test_ladder_word_bounds():
     with pytest.raises(DomainError):
         ladder_word(0)
     with pytest.raises(PrecisionError):
-        ladder_word(7, max_index=6)
+        ladder_word(MAX_LADDER_INDEX + 1)
 
 
 def test_base_root_cap_builds_no_ladder_word():
@@ -59,8 +59,9 @@ def test_base_root_cap_builds_no_ladder_word():
     bases._ladder.cache_clear()
     base_root(9)
     assert bases._ladder.cache_info().currsize == 0
-    with pytest.raises(PrecisionError, match="ladder index 9 exceeds cap 8"):
-        base_root(9, config=RunConfig(max_ladder_index=8))
+    cap = MAX_LADDER_INDEX
+    with pytest.raises(PrecisionError, match=f"ladder index {cap + 1} exceeds cap {cap}"):
+        base_root(cap + 1)
     assert bases._ladder.cache_info().currsize == 0
 
 
@@ -88,7 +89,7 @@ def test_base_root_polynomial_residual():
     # Evaluating the ladder polynomial at the midpoint stays within 10x the width.
     for n in range(2, 9):
         r = base_root(n)
-        value = bases._ladder_value_exact(r.midpoint, n)
+        value = ladder_value_exact(r.midpoint, n)
         assert abs(value - 1) < 10 * (r.hi - r.lo) + Fraction(1, 10 ** 30)
 
 
@@ -96,7 +97,7 @@ def test_doubling_evaluator_agrees_with_horner():
     from decimal import Decimal, localcontext
     for n in range(1, 9):
         q = Fraction("2.47")
-        exact = bases._ladder_value_exact(q, n)
+        exact = ladder_value_exact(q, n)
         with localcontext() as ctx:
             ctx.prec = 60
             fast = bases._ladder_value_dec(Decimal("2.47"), n)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import io
 import json
 import os
@@ -10,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from gasket_spectrum import words
+from gasket_spectrum import selftest, words
 from gasket_spectrum.cli import build_parser, run
-from gasket_spectrum.config import DEFAULT_CONFIG, load_config
+from gasket_spectrum.config import DEFAULT_CONFIG, ENV_KEYS, RunConfig, load_config
 from gasket_spectrum.errors import DomainError
 
 
@@ -183,6 +185,18 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg_path.write_text('{"bogus": 1}')
     with pytest.raises(DomainError):
         load_config(config_path=str(cfg_path), env={})
+    # The retired file-only caps are module constants; a config file cannot set them.
+    for key in ("alpha_horizon_max", "max_ladder_index", "ladder_digits_cap",
+                "sft_max_n", "max_render_depth", "max_word_length"):
+        cfg_path.write_text(json.dumps({key: 8}))
+        code, text = run_cli(["classify", "--q", "2.2", "--config", str(cfg_path)])
+        assert code == 1 and "unknown config keys" in text and key in text, key
+
+
+def test_every_config_field_has_an_environment_variable():
+    # A knob reachable only from a config file would be untested and undocumented.
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert names == {v for v in ENV_KEYS.values() if v is not None}
 
 
 def test_config_env_format(monkeypatch):
@@ -216,6 +230,13 @@ def test_max_n_guards_cross_scale_m():
     assert code == 0
 
 
+def test_max_n_cannot_raise_block_cap():
+    # --max-n lowers the block cap only; above the built-in cap it is refused up front.
+    code, text = run_cli(["verify", "--lemma", "3.1", "--n", "25", "--max-n", "40"])
+    assert code == 1
+    assert "scale 25" in text and str(words.MAX_BLOCK_EXPONENT) in text
+
+
 def test_render_spec_format_alias(tmp_path):
     out = str(tmp_path / "alias.ppm")
     code, _ = run_cli(["render", "--q", "2.5", "--t-seq", "+0-0^inf", "0;+0-0^inf",
@@ -238,12 +259,20 @@ def test_selftest_passes_and_detects_fault(monkeypatch):
     assert "shift-trichotomy" in names and "ladder-roots" in names
     # fault injection: corrupt block 6 as the battery reads it and expect a failure
     real = words.tm_block
-    monkeypatch.setattr(words, "tm_block",
-                        lambda n, max_exponent=None: (1, 1) * 32 if n == 6 else real(n))
+    monkeypatch.setattr(words, "tm_block", lambda n: (1, 1) * 32 if n == 6 else real(n))
+    monkeypatch.setattr(selftest, "CHECKS",
+                        tuple(c for c in selftest.CHECKS if c[0] == "block-calculus"))
     code, payload = run_json(["selftest"])
     assert code == 1
     failed = {item["name"] for item in payload["result"]["items"] if not item["pass"]}
     assert "block-calculus" in failed
+
+
+def test_selftest_has_no_assert_statements():
+    # python -O strips assert statements; every check must fail through _require.
+    with open(selftest.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
 def test_selftest_detects_fault_under_optimize():
@@ -255,7 +284,8 @@ def test_selftest_detects_fault_under_optimize():
     script = (
         "from gasket_spectrum import selftest, words\n"
         "real = words.tm_block\n"
-        "words.tm_block = lambda n, max_exponent=None: (1, 1) * 32 if n == 6 else real(n)\n"
+        "words.tm_block = lambda n: (1, 1) * 32 if n == 6 else real(n)\n"
+        "selftest.CHECKS = tuple(c for c in selftest.CHECKS if c[0] == 'block-calculus')\n"
         "result = selftest.run_selftest()\n"
         "failed = [i['name'] for i in result['items'] if not i['pass']]\n"
         "print(result['all_pass'], failed)\n"

@@ -50,16 +50,3 @@ def test_report_envelope_fields():
     assert payload["timing_ms"] == 0
     assert payload["schema"] == "1"
 
-
-def test_pair_seq_constructor_validates():
-    import pytest
-
-    from gasket_spectrum.errors import DomainError
-    from gasket_spectrum.words import pair_seq
-
-    s = pair_seq((), (((0, 0)), ((1, -1))))
-    assert s.period == ((0, 0), (1, -1))
-    with pytest.raises(DomainError):
-        pair_seq((), ((2, 0),))
-    with pytest.raises(DomainError):
-        pair_seq((), (5,))

@@ -9,6 +9,7 @@ import pytest
 from gasket_spectrum import words
 from gasket_spectrum.errors import DomainError, ResourceLimitError
 from gasket_spectrum.words import (
+    MAX_BLOCK_EXPONENT,
     Seq,
     dec_last,
     format_seq,
@@ -99,7 +100,7 @@ def test_block_structure_properties():
 
 def test_block_cap():
     with pytest.raises(ResourceLimitError):
-        tm_block(7, max_exponent=6)
+        tm_block(MAX_BLOCK_EXPONENT + 1)
     # The cap is checked outside the cache: a refused call leaves no trace.
     assert len(tm_block(7)) == 128
     with pytest.raises(DomainError):
