@@ -7,7 +7,6 @@ so outputs (and the SVG/PPM bytes derived from them) are identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .bases import as_base_value, require_working_base
 from .errors import DomainError, ResourceLimitError
@@ -70,17 +69,24 @@ def cylinder_tree(q, t_seq: Seq, depth: int) -> CylinderTree:
     return CylinderTree(q=b.value, depth=depth, branch_sets=sets)
 
 
-def _digit_points(q: float, depth: int, choices) -> tuple:
-    """Points sum_i a_i q^-i for each digit tuple, in lexicographic digit order."""
-    pts = []
-    weights = [q ** -(i + 1) for i in range(depth)]
-    for digits in choices:
-        x = 0.0
-        y = 0.0
-        for w, (dx, dy) in zip(weights, digits):
-            x += dx * w
-            y += dy * w
-        pts.append((x, y))
+def _digit_points(q: float, levels, translate=(0.0, 0.0)) -> tuple:
+    """Points sum_i a_i q^-i (+ translate) for each digit tuple in the product
+    of the per-level digit sets, in lexicographic digit order.
+
+    Built level by level: each point of level i-1 gets the term a_i q^-i of
+    each digit a in level i's set. The sums take the same float additions in
+    the same order as digit-by-digit evaluation, so the points are identical.
+    """
+    pts = [(0.0, 0.0)]
+    last = len(levels)
+    for i, digits in enumerate(levels, start=1):
+        w = q ** -i
+        steps = [(dx * w, dy * w) for dx, dy in digits]
+        if i == last and translate != (0.0, 0.0):
+            tx, ty = translate
+            pts = [(x + sx + tx, y + sy + ty) for x, y in pts for sx, sy in steps]
+        else:
+            pts = [(x + sx, y + sy) for x, y in pts for sx, sy in steps]
     return tuple(pts)
 
 
@@ -90,17 +96,14 @@ def build_gasket(q, depth: int, translate: tuple[float, float] = (0.0, 0.0),
     b = require_working_base(as_base_value(q))
     _check_depth(depth)
     qf = b.value
-    pts = _digit_points(qf, depth, product(OMEGA1, repeat=depth))
-    if translate != (0.0, 0.0):
-        tx, ty = translate
-        pts = tuple((x + tx, y + ty) for x, y in pts)
+    pts = _digit_points(qf, (OMEGA1,) * depth, translate)
     return PointCloud(kind=kind, q=qf, depth=depth, points=pts)
 
 
 def build_intersection(q, t_seq: Seq, depth: int) -> PointCloud:
     """Points of the intersection cylinder set at the given depth."""
     tree = cylinder_tree(q, t_seq, depth)
-    pts = _digit_points(tree.q, depth, product(*tree.branch_sets))
+    pts = _digit_points(tree.q, tree.branch_sets)
     return PointCloud(kind="intersection", q=tree.q, depth=depth, points=pts)
 
 

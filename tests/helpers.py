@@ -164,3 +164,18 @@ def scan_pair(x: Word, y: Word, i: int) -> tuple[bool, bool]:
             if not matched:
                 break
     return matched, haszero
+
+
+def digit_points(q: float, choices, translate=(0.0, 0.0)) -> tuple:
+    """Points sum_i a_i q^-i (+ translate), each summed digit by digit, for
+    each digit tuple in `choices`, in the order given."""
+    pts = []
+    for digits in choices:
+        x = 0.0
+        y = 0.0
+        for i, (dx, dy) in enumerate(digits, start=1):
+            w = q ** -i
+            x += dx * w
+            y += dy * w
+        pts.append((x + translate[0], y + translate[1]) if translate != (0.0, 0.0) else (x, y))
+    return tuple(pts)

@@ -6,6 +6,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,6 +22,8 @@ from gasket_spectrum.geometry import (
 )
 from gasket_spectrum.matching import OMEGA1, OMEGA2, e_seq
 from gasket_spectrum.words import Seq
+
+from helpers import digit_points
 
 
 def _random_pair_seq(rng: random.Random, period_len: int) -> Seq:
@@ -66,6 +69,22 @@ def test_gasket_counts_and_distinct():
         cloud = build_gasket("2.5", depth)
         assert len(cloud.points) == 3 ** depth
         assert len(set(cloud.points)) == 3 ** depth
+
+
+def test_level_by_level_points_equal_digit_sums():
+    # Bit for bit, so the SVG/PPM bytes do not depend on how points are built.
+    rng = random.Random(11)
+    t = e_seq(1, 1, 2)  # matched; branch sets of size 3 and 1 alternate
+    for q in ("2.25", "2.5", "2.9"):
+        for depth in (1, 4, 7):
+            cloud = build_gasket(q, depth)
+            assert cloud.points == digit_points(cloud.q, product(OMEGA1, repeat=depth))
+            shift = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            assert build_gasket(q, depth, translate=shift).points == \
+                digit_points(cloud.q, product(OMEGA1, repeat=depth), shift)
+            tree = cylinder_tree(q, t, depth)
+            assert build_intersection(q, t, depth).points == \
+                digit_points(tree.q, product(*tree.branch_sets))
 
 
 def test_gasket_depth_limits():
