@@ -6,33 +6,34 @@ Every numeric base is carried as a BaseValue: an exact rational enclosure
 right-closed band boundaries decidable; bare numerics can never certify
 equality with an irrational ladder point.
 
-Root finding is plain bisection. The ladder value function
-V_n(q) = sum_i w_n[i] q^-i is evaluated in O(n) Decimal operations through
-the doubling identity
+Every root is found by one bisection on the certified sign of a value
+function minus 1. The ladder value V_n(q) = sum_i w_n[i] q^-i takes O(n)
+Decimal operations through the doubling identity
 
     V_{k+1} = V_k (1 - u_k) + 2 u_k (1 - u_k) / (q - 1) + u_k^2,
     u_k = q^(-2^(k-1)),  u_{k+1} = u_k^2,  V_1 = 2/q,
 
-which lets the enclosure widths scale to the 400+ digit separations the
-deeper ladder roots require. Signs are certified with a 30-digit guard
-margin; if an evaluation lands inside the noise band the precision is raised
-until the sign is certain (midpoints are rational, roots are irrational for
-n >= 2, so this terminates).
+so enclosures reach the 400+ digit separations of the deeper roots. The limit
+word's value is S(q) = (1 - (1 - x) P(x))/2 + x/(1 - x) with x = 1/q and the
+Thue-Morse product P(x) = prod_k (1 - x^(2^k)), cut once x^(2^k) <
+10^-(prec+2), which moves S by less than that. Signs are certified against a
+noise band of 10^(8-prec), far wider than the cut, with a 30-digit guard
+margin; inside the band the precision is raised until the sign is certain
+(midpoints are rational, the roots irrational for n >= 2 and the limit
+transcendental, so this terminates). A rational point inside the KL
+enclosure tightens it until the point falls outside.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cache
 
-from .errors import (
-    AmbiguousClassificationError,
-    DomainError,
-    PrecisionError,
-)
-from .words import Word, inc_last, reflect2, tm_diff
+from .errors import AmbiguousClassificationError, DomainError, PrecisionError
+from .words import Word, inc_last, reflect2
 
 DEFAULT_TOLERANCE = 1e-12  # enclosure width asked of roots and of the limit base
 MAX_LADDER_INDEX = 24  # ladder word 24 has 2^23 digits
@@ -109,6 +110,8 @@ def as_base_value(q) -> BaseValue:
     elif isinstance(q, int):
         x = Fraction(q)
     elif isinstance(q, float):
+        if not math.isfinite(q):
+            raise DomainError(f"cannot interpret {q!r} as a base")
         x = Fraction(q)  # exact binary value
     elif isinstance(q, str):
         try:
@@ -172,9 +175,8 @@ def _ladder_value_dec(q: Decimal, n: int) -> Decimal:
 
 
 def _width_digits(n: int, tolerance: float) -> int:
-    from math import ceil, log10
-    tol_digits = 15 if tolerance <= 0 else max(1, int(ceil(-log10(tolerance))))
-    sep_digits = int(ceil(0.404 * (2 ** (n - 1)))) + 30
+    tol_digits = 15 if tolerance <= 0 else max(1, math.ceil(-math.log10(tolerance)))
+    sep_digits = math.ceil(0.404 * (2 ** (n - 1))) + 30
     return min(max(tol_digits, sep_digits, 40), LADDER_DIGITS_CAP)
 
 
@@ -191,24 +193,29 @@ def _certified_sign(valfn, mid: Decimal, prec: int) -> int:
             if v - 1 < -noise:
                 return -1
         p = p * 2
-    raise PrecisionError("sign of ladder value could not be certified")
+    raise PrecisionError("sign could not be certified")
 
 
-@cache
-def _root(n: int, digits: int) -> BaseValue:
+def _bisect(valfn, lo: Decimal, hi: Decimal, digits: int) -> tuple[Fraction, Fraction]:
+    """Shrink [lo, hi] to width 10^-digits around the crossing of valfn = 1;
+    valfn falls as q grows, so a value above 1 lies left of the crossing."""
     prec = digits + 30
     target = Decimal(10) ** (-digits)
-    lo, hi = Decimal(2), Decimal(3)
-    valfn = lambda q: _ladder_value_dec(q, n)
     with localcontext() as ctx:
         ctx.prec = prec + 10
         while hi - lo > target:
             mid = (lo + hi) / 2
-            if _certified_sign(valfn, mid, prec) > 0:  # V > 1: left of root
+            if _certified_sign(valfn, mid, prec) > 0:
                 lo = mid
             else:
                 hi = mid
-    return BaseValue(Fraction(lo), Fraction(hi), ladder_index=n)
+    return Fraction(lo), Fraction(hi)
+
+
+@cache
+def _root(n: int, digits: int) -> BaseValue:
+    lo, hi = _bisect(lambda q: _ladder_value_dec(q, n), Decimal(2), Decimal(3), digits)
+    return BaseValue(lo, hi, ladder_index=n)
 
 
 def base_root(n: int, tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
@@ -231,56 +238,29 @@ def base_root(n: int, tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
 _KL_INTERNAL_DIGITS = 80
 
 
-def _limit_word_sign(q: Decimal, prec: int) -> int:
-    """Sign of (sum_i (lambda_i + 1) q^-i) - 1 with an exact truncation tail bound."""
-    terms = int(prec * 2.5) + 48
-    p = prec
-    for _ in range(6):
-        with localcontext() as ctx:
-            ctx.prec = p
-            x = 1 / Decimal(q)
-            acc = Decimal(0)
-            for i in range(terms, 0, -1):
-                acc = (acc + (tm_diff(i) + 1)) * x
-            tail_max = 2 * x ** terms / (q - 1)
-            noise = Decimal(10) ** (8 - p)
-            if acc - 1 > noise:
-                return 1
-            if acc + tail_max - 1 < -noise:
-                return -1
-        p *= 2
-        terms *= 2
-    raise PrecisionError("Komornik-Loreti sign could not be certified")
+def _limit_value_dec(q: Decimal) -> Decimal:
+    """S(q) = sum_i (lambda_i + 1) q^-i by the Thue-Morse product, cut once
+    x^(2^k) < 10^-(prec+2) at the current context precision."""
+    x = 1 / q
+    cut = Decimal(10) ** -(getcontext().prec + 2)
+    product, u = Decimal(1), x
+    while u >= cut:
+        product *= 1 - u
+        u = u * u
+    return (1 - (1 - x) * product) / 2 + x / (1 - x)
 
 
 @cache
 def _kl(digits: int) -> BaseValue:
-    prec = digits + 30
-    target = Decimal(10) ** (-digits)
-    lo, hi = Decimal("2.5"), Decimal("2.6")
-    with localcontext() as ctx:
-        ctx.prec = prec + 10
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            if _limit_word_sign(mid, prec) > 0:
-                lo = mid
-            else:
-                hi = mid
-    return BaseValue(Fraction(lo), Fraction(hi), is_kl=True)
+    lo, hi = _bisect(_limit_value_dec, Decimal("2.5"), Decimal("2.6"), digits)
+    return BaseValue(lo, hi, is_kl=True)
 
 
-def kl_constant(tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
-    """Certified enclosure of the Komornik-Loreti constant for alphabet {0,1,2}.
-
-    Bisects on the value of the full limit word directly (exact tail bounds),
-    so the enclosure is certified rather than extrapolated. The internal width
-    is at most 1e-80 even for loose tolerances; the ladder roots crowd the
-    limit at double-exponential speed, so anything wider would not even sit
-    above the n = 8 root.
-    """
+@cache
+def _kl_digits(tolerance) -> int:
+    if not 0 < tolerance < math.inf:
+        raise DomainError("tolerance must be positive and finite")
     tol = Fraction(tolerance)
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     tol_digits = 1
     step = Fraction(1, 10)
     while step > tol and tol_digits <= LADDER_DIGITS_CAP:
@@ -290,7 +270,21 @@ def kl_constant(tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
     if digits > LADDER_DIGITS_CAP:
         raise PrecisionError(
             f"tolerance {float(tol)} needs {digits} digits, beyond cap {LADDER_DIGITS_CAP}")
-    return _kl(digits)
+    return digits
+
+
+def kl_constant(tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
+    """Certified enclosure of the Komornik-Loreti constant for alphabet {0,1,2}.
+
+    Bisects on S(q) - 1 through the Thue-Morse product P(x) = prod_k
+    (1 - x^(2^k)), x = 1/q, whose factors stop once x^(2^k) < 10^-(prec+2),
+    far inside the sign certifier's noise band, so the enclosure is certified
+    rather than extrapolated. The internal width is at most 1e-80 even for
+    loose tolerances; the ladder roots crowd the limit at double-exponential
+    speed, so anything wider would not even sit above the n = 8 root.
+    classify tightens it around a rational point until the point is outside.
+    """
+    return _kl(_kl_digits(tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +295,12 @@ def classify(q, tolerance: float = DEFAULT_TOLERANCE) -> RegimeLabel:
     """Regime of a base: finite band (q_m, q_{m+1}], the Komornik-Loreti point,
     or the interval regime above it.
 
-    Tagged inputs classify exactly (band intervals are right-closed). Untagged
-    enclosures are compared against certified ladder enclosures; a straddle
-    raises AmbiguousClassificationError rather than guessing.
+    Tagged inputs classify exactly (band intervals are right-closed). An
+    untagged enclosure reads as KL when it meets the KL enclosure and is no
+    wider than tolerance; otherwise its endpoints are classified as points,
+    and disagreement raises AmbiguousClassificationError rather than guessing.
+    A rational point never equals KL: inside the KL enclosure it tightens the
+    enclosure, and below KL it is placed among the certified ladder roots.
     """
     b = as_base_value(q)
     if b.ladder_index is not None:
@@ -313,28 +310,27 @@ def classify(q, tolerance: float = DEFAULT_TOLERANCE) -> RegimeLabel:
     if b.is_kl:
         return RegimeLabel("komornik_loreti")
     require_working_base(b)
-    kl = kl_constant(tolerance)
-    if b.lo > kl.hi:
-        return RegimeLabel("interval")
-    if b.hi >= kl.lo:
-        if b.is_point:
-            # A rational point strictly below the KL enclosure's center may
-            # still sit inside the coarse enclosure; refine by band search.
-            pass
-        else:
+    if not b.is_point:
+        kl = kl_constant(tolerance)
+        if b.lo <= kl.hi and b.hi >= kl.lo and b.hi - b.lo <= tolerance:
             return RegimeLabel("komornik_loreti")
-    prev = base_root(1, tolerance)
+        low, high = classify(b.lo, tolerance), classify(b.hi, tolerance)
+        if low != high:
+            raise AmbiguousClassificationError("enclosure endpoints lie in different regimes")
+        return low
+    digits = _kl_digits(tolerance)
+    while _kl(digits).lo <= b.lo <= _kl(digits).hi:
+        if digits == LADDER_DIGITS_CAP:
+            raise PrecisionError(f"base lies inside the {digits}-digit Komornik-Loreti enclosure")
+        digits = min(2 * digits, LADDER_DIGITS_CAP)
+    if b.lo > _kl(digits).hi:
+        return RegimeLabel("interval")
     for n in range(2, MAX_LADDER_INDEX + 1):
         qn = base_root(n, tolerance)
-        if qn.lo > b.hi:
-            if prev.hi < b.lo:
-                return RegimeLabel("finite", n - 1)
-            raise AmbiguousClassificationError(
-                f"enclosure straddles ladder point {n - 1}")
-        if qn.hi >= b.lo and qn.lo <= b.hi:
-            raise AmbiguousClassificationError(
-                f"enclosure straddles ladder point {n}")
-        prev = qn
+        if qn.lo > b.lo:
+            return RegimeLabel("finite", n - 1)
+        if qn.hi >= b.lo:
+            raise AmbiguousClassificationError(f"base lies inside the enclosure of ladder point {n}")
     raise PrecisionError(
         f"no band found below the ladder cap {MAX_LADDER_INDEX}; "
         "the base is too close to the Komornik-Loreti constant")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -30,8 +31,8 @@ class RunConfig:
     output_format: str = "text"
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise DomainError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise DomainError("tolerance must be positive and finite")
         if self.output_format not in ("text", "json"):
             raise DomainError("output_format must be 'text' or 'json'")
         for f in fields(self):
@@ -43,11 +44,11 @@ DEFAULT_CONFIG = RunConfig()
 
 
 def _coerce(name: str, raw: object) -> object:
-    if name in _INT_FIELDS:
-        return int(raw)  # type: ignore[arg-type]
-    if name == "tolerance":
-        return float(raw)  # type: ignore[arg-type]
-    return str(raw)
+    kind = int if name in _INT_FIELDS else float if name == "tolerance" else str
+    try:
+        return kind(raw)  # type: ignore[operator]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name}: cannot read {raw!r}") from exc
 
 
 def load_config(
@@ -70,6 +71,8 @@ def load_config(
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
             raise DomainError(f"cannot read config file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise DomainError(f"config file {path} must hold a JSON object")
         unknown = set(data) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -127,22 +128,38 @@ def test_kl_close_to_deep_roots():
 def test_kl_enclosure_certified_by_exact_arithmetic():
     # Independent certification of the returned endpoints: the limit word's
     # truncated value at lo exceeds 1, and at hi even adding the maximal tail
-    # stays below 1. Pure Fraction arithmetic, no Decimal involved.
+    # stays below 1. The Horner sum runs in exact integers over the common
+    # denominator a^terms of q = a/b; no Decimal and no product form involved.
     from gasket_spectrum.words import tm_diff
 
-    kl = kl_constant()
-    terms = 260
-    for endpoint, side in ((kl.lo, "lo"), (kl.hi, "hi")):
-        q = Fraction(endpoint)
-        acc = Fraction(0)
-        x = 1 / q
-        for i in range(terms, 0, -1):
-            acc = (acc + tm_diff(i) + 1) * x
-        tail_max = 2 * x ** terms / (q - 1)
-        if side == "lo":
-            assert acc > 1
-        else:
-            assert acc + tail_max < 1
+    for tolerance, digits in ((bases.DEFAULT_TOLERANCE, 80), (1e-90, 90), (1e-200, 200)):
+        kl = kl_constant(tolerance)
+        terms = int(2.5 * digits) + 60  # tail below 10^-(digits + 20)
+        for endpoint, side in ((kl.lo, "lo"), (kl.hi, "hi")):
+            a, b = endpoint.numerator, endpoint.denominator
+            num, b_pow = 0, 1  # sum_i (tm_diff(i) + 1) (b/a)^i = num / a^terms
+            for i in range(1, terms + 1):
+                b_pow *= b
+                num = num * a + (tm_diff(i) + 1) * b_pow
+            den = a ** terms
+            if side == "lo":
+                assert num > den, tolerance
+            else:  # tail_max = 2 x^terms / (q - 1) = 2 b^(terms+1) / (a^terms (a - b))
+                assert num * (a - b) + 2 * b_pow * b < den * (a - b), tolerance
+
+
+def test_classify_rational_inside_kl_enclosure():
+    # A rational never equals KL, so a point inside the enclosure tightens it
+    # until the point falls outside, with no sweep over the ladder roots.
+    bases._kl.cache_clear()
+    above = kl_constant().hi - Fraction(1, 10 ** 100)
+    started = time.perf_counter()
+    assert classify(above) == bases.RegimeLabel("interval")
+    assert time.perf_counter() - started < 2
+    started = time.perf_counter()
+    with pytest.raises(PrecisionError):
+        classify(bases._kl(bases.LADDER_DIGITS_CAP).midpoint)
+    assert time.perf_counter() - started < 5
 
 
 def test_classify_points_adjacent_to_kl():
@@ -207,6 +224,14 @@ def test_classify_interval_touching_kl():
     kl = kl_constant()
     around = BaseValue(kl.lo - Fraction(1, 10 ** 90), kl.hi + Fraction(1, 10 ** 90))
     assert classify(around) == bases.RegimeLabel("komornik_loreti")
+
+
+def test_classify_wide_enclosure_meeting_kl_is_ambiguous():
+    # Wider than the tolerance, so it is not read as KL; its endpoints lie in
+    # band 1 and in the interval regime.
+    for lo, hi in (("2.4", "2.6"), ("2.1", "2.9")):
+        with pytest.raises(AmbiguousClassificationError):
+            classify(BaseValue(Fraction(lo), Fraction(hi)))
 
 
 def test_as_base_value_forms():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from gasket_spectrum import selftest, words
+from gasket_spectrum.bases import as_base_value
 from gasket_spectrum.cli import build_parser, run
 from gasket_spectrum.config import DEFAULT_CONFIG, ENV_KEYS, RunConfig, load_config
 from gasket_spectrum.errors import DomainError
@@ -191,6 +192,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         cfg_path.write_text(json.dumps({key: 8}))
         code, text = run_cli(["classify", "--q", "2.2", "--config", str(cfg_path)])
         assert code == 1 and "unknown config keys" in text and key in text, key
+    # A malformed value or a file that is not a JSON object is an error too.
+    for content in ('{"kl_terms": "x"}', "5"):
+        cfg_path.write_text(content)
+        code, text = run_cli(["classify", "--q", "2.2", "--config", str(cfg_path)])
+        assert code == 1 and "error" in text, content
 
 
 def test_every_config_field_has_an_environment_variable():
@@ -214,6 +220,14 @@ def test_malformed_values_are_domain_errors():
     assert code == 1
     code, text = run_cli(["dq", "--q", "1/0"])
     assert code == 1
+    for tolerance in ("nan", "inf"):
+        code, text = run_cli(["classify", "--q", "2.2", "--tolerance", tolerance])
+        assert code == 1 and "tolerance" in text, tolerance
+    with pytest.raises(DomainError):
+        load_config(env={"GS_MAX_N": "abc"})
+    for q in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            as_base_value(q)
 
 
 def test_max_n_guards_verify():
