@@ -148,6 +148,11 @@ def _check_ladder_index(n: int) -> None:
         raise PrecisionError(f"ladder index {n} exceeds cap {MAX_LADDER_INDEX}")
 
 
+def _check_tolerance(tolerance) -> None:
+    if not 0 < tolerance < math.inf:
+        raise DomainError("tolerance must be positive and finite")
+
+
 def ladder_word(n: int) -> LadderWord:
     """n-th ladder word over {0,1,2}: start at "2", append the {0,1,2}-reflection,
     increment the last digit. Length 2^(n-1)."""
@@ -175,7 +180,7 @@ def _ladder_value_dec(q: Decimal, n: int) -> Decimal:
 
 
 def _width_digits(n: int, tolerance: float) -> int:
-    tol_digits = 15 if tolerance <= 0 else max(1, math.ceil(-math.log10(tolerance)))
+    tol_digits = max(1, math.ceil(-math.log10(tolerance)))
     sep_digits = math.ceil(0.404 * (2 ** (n - 1))) + 30
     return min(max(tol_digits, sep_digits, 40), LADDER_DIGITS_CAP)
 
@@ -226,6 +231,7 @@ def base_root(n: int, tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
     n = 12 under the default digit cap.
     """
     _check_ladder_index(n)
+    _check_tolerance(tolerance)
     if n == 1:
         return BaseValue(Fraction(2), Fraction(2), ladder_index=1)
     return _root(n, _width_digits(n, tolerance))
@@ -258,8 +264,7 @@ def _kl(digits: int) -> BaseValue:
 
 @cache
 def _kl_digits(tolerance) -> int:
-    if not 0 < tolerance < math.inf:
-        raise DomainError("tolerance must be positive and finite")
+    _check_tolerance(tolerance)
     tol = Fraction(tolerance)
     tol_digits = 1
     step = Fraction(1, 10)

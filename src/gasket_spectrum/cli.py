@@ -263,6 +263,8 @@ def _cmd_render(args, config):
     image_format = args.image_format
     if args.render_format in ("svg", "ppm"):
         image_format = args.render_format
+    if image_format == "ppm":
+        geometry.require_raster_size(args.size)
     clouds = []
     if "e" in layers:
         clouds.append(geometry.build_gasket(q, args.depth))

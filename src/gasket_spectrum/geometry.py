@@ -125,16 +125,17 @@ LAYER_COLORS = {"E": "#999999", "E_plus_t": "#5b8def", "intersection": "#d62728"
 _CANVAS = 600.0
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9f}"
+def require_raster_size(size: int) -> None:
+    """PPM rasters are square, 16 to 4096 pixels a side."""
+    if size < 16 or size > 4096:
+        raise DomainError("raster size must be in [16, 4096]")
 
 
 def _frame(clouds) -> tuple[float, float, float]:
     """Common square frame: [-R*margin, 2R*margin] in both axes, R = 1/(q-1)."""
-    if clouds:
-        q = clouds[0].q
-    else:
-        q = 2.5
+    if len({c.q for c in clouds}) > 1:
+        raise DomainError("all clouds must share one base")
+    q = clouds[0].q if clouds else 2.5
     r = 1.0 / (q - 1.0)
     margin = 1.05
     lo = -r * margin
@@ -142,36 +143,7 @@ def _frame(clouds) -> tuple[float, float, float]:
     return lo, hi, hi - lo
 
 
-def emit_svg(clouds, path: str) -> None:
-    """Deterministic SVG: one layer group per cloud, circles of cylinder radius."""
-    qs = {c.q for c in clouds}
-    if len(qs) > 1:
-        raise DomainError("all clouds must share one base")
-    lo, _hi, span = _frame(clouds)
-    scale = _CANVAS / span
-
-    def sx(x: float) -> float:
-        return (x - lo) * scale
-
-    def sy(y: float) -> float:
-        return _CANVAS - (y - lo) * scale
-
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_CANVAS)}" '
-        f'height="{int(_CANVAS)}" viewBox="0 0 {int(_CANVAS)} {int(_CANVAS)}">',
-        '<rect width="100%" height="100%" fill="#ffffff"/>',
-    ]
-    for cloud in clouds:
-        color = LAYER_COLORS.get(cloud.kind, "#000000")
-        # half a cylinder diameter, floored so deep levels stay visible
-        radius = max((cloud.q ** -cloud.depth) / 2.0 * scale, 0.35)
-        lines.append(f'<g fill="{color}" data-layer="{cloud.kind}">')
-        for x, y in cloud.points:
-            lines.append(
-                f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="{_fmt(radius)}"/>')
-        lines.append("</g>")
-    lines.append("</svg>")
-    data = ("\n".join(lines) + "\n").encode("ascii")
+def _write(path: str, data: bytes) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write(data)
@@ -179,33 +151,59 @@ def emit_svg(clouds, path: str) -> None:
         raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
+def emit_svg(clouds, path: str) -> None:
+    """Deterministic SVG: one layer group per cloud, circles of cylinder radius.
+
+    Digit parts lie in {0, 1}, so a depth-d cloud has at most 2^d distinct x
+    and y values against 3^d points: each is formatted once per cloud.
+    """
+    lo, _hi, span = _frame(clouds)
+    scale = _CANVAS / span
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_CANVAS)}" '
+        f'height="{int(_CANVAS)}" viewBox="0 0 {int(_CANVAS)} {int(_CANVAS)}">\n'
+        '<rect width="100%" height="100%" fill="#ffffff"/>\n',
+    ]
+    for cloud in clouds:
+        color = LAYER_COLORS.get(cloud.kind, "#000000")
+        # half a cylinder diameter, floored so deep levels stay visible
+        radius = max((cloud.q ** -cloud.depth) / 2.0 * scale, 0.35)
+        tail = f'" r="{radius:.9f}"/>\n'
+        pts = cloud.points
+        cx = {x: f'<circle cx="{(x - lo) * scale:.9f}" cy="' for x in {x for x, _ in pts}}
+        cy = {y: f"{_CANVAS - (y - lo) * scale:.9f}{tail}" for y in {y for _, y in pts}}
+        parts.append(f'<g fill="{color}" data-layer="{cloud.kind}">\n')
+        parts.append("".join([cx[x] + cy[y] for x, y in pts]))
+        parts.append("</g>\n")
+    parts.append("</svg>\n")
+    _write(path, "".join(parts).encode("ascii"))
+
+
 def emit_ppm(clouds, path: str, size: int = 512) -> None:
     """Binary PPM raster. Pixel mapping: column = floor((x - lo) / span * (size - 1)),
-    row counted from the top with y increasing upward."""
-    if size < 16 or size > 4096:
-        raise DomainError("raster size must be in [16, 4096]")
-    qs = {c.q for c in clouds}
-    if len(qs) > 1:
-        raise DomainError("all clouds must share one base")
+    row counted from the top with y increasing upward.
+
+    Columns and rows are computed once per distinct coordinate; each cloud
+    paints palette indices in turn, so a later cloud wins.
+    """
+    require_raster_size(size)
     lo, _hi, span = _frame(clouds)
-    white = (255, 255, 255)
-    grid = [[white] * size for _ in range(size)]
-    rgb = {"E": (153, 153, 153), "E_plus_t": (91, 141, 239),
-           "intersection": (214, 39, 40)}
+    palette = {"#ffffff": 0}
+    raster = bytearray(size * size)
+    off = -len(raster)  # an off-raster column or row offset: any sum with it is negative
+    m = size - 1
     for cloud in clouds:
-        color = rgb.get(cloud.kind, (0, 0, 0))
-        for x, y in cloud.points:
-            col = int((x - lo) / span * (size - 1))
-            row = size - 1 - int((y - lo) / span * (size - 1))
-            if 0 <= col < size and 0 <= row < size:
-                grid[row][col] = color
-    body = bytearray()
-    for row in grid:
-        for px in row:
-            body.extend(px)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(f"P6\n{size} {size}\n255\n".encode("ascii"))
-            fh.write(bytes(body))
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc}") from exc
+        index = palette.setdefault(LAYER_COLORS.get(cloud.kind, "#000000"), len(palette))
+        pts = cloud.points
+        cols = {x: int((x - lo) / span * m) for x in {x for x, _ in pts}}
+        rows = {y: m - int((y - lo) / span * m) for y in {y for _, y in pts}}
+        cols = {x: c if 0 <= c < size else off for x, c in cols.items()}
+        rows = {y: r * size if 0 <= r < size else off for y, r in rows.items()}
+        for pixel in {rows[y] + cols[x] for x, y in pts}:
+            if pixel >= 0:
+                raster[pixel] = index
+    rgb = [bytes.fromhex(color[1:]) for color in palette]
+    body = bytearray(3 * len(raster))
+    for ch in range(3):
+        body[ch::3] = raster.translate(bytes(c[ch] for c in rgb).ljust(256, b"\0"))
+    _write(path, f"P6\n{size} {size}\n255\n".encode("ascii") + body)

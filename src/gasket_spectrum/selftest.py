@@ -192,12 +192,19 @@ def _check_geometry(config: RunConfig) -> str:
     import os
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        p1, p2 = os.path.join(tmp, "a.svg"), os.path.join(tmp, "b.svg")
-        geometry.emit_svg([gasket, cloud], p1)
-        geometry.emit_svg([gasket, cloud], p2)
-        with open(p1, "rb") as f1, open(p2, "rb") as f2:
-            _require(f1.read() == f2.read())
-    return "counting law, distinct cylinder points, and byte-stable rendering"
+        def emitted(emit, name: str, *args) -> bytes:
+            path = os.path.join(tmp, name)
+            emit([gasket, cloud], path, *args)
+            with open(path, "rb") as fh:
+                return fh.read()
+
+        svg = [emitted(geometry.emit_svg, f"{i}.svg") for i in (1, 2)]
+        ppm = [emitted(geometry.emit_ppm, f"{i}.ppm", 64) for i in (1, 2)]
+    _require(svg[0] == svg[1] and ppm[0] == ppm[1], "emitted bytes differ between runs")
+    header = b"P6\n64 64\n255\n"
+    _require(ppm[0].startswith(header) and len(ppm[0]) == len(header) + 64 * 64 * 3,
+             "malformed 64x64 PPM")
+    return "counting law, distinct cylinder points, and byte-stable SVG and PPM rendering"
 
 def _check_kl_density(config: RunConfig) -> str:
     rep = spectrum.kl_density_check(2 ** 14)

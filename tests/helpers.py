@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: uniqueness is decided
 by exact residual-interval feasibility and by a per-position Seq comparison,
 sequence values by direct partial summation, roots by plain float bisection
-on the literal polynomial, and shifted pairings by a digit-by-digit scan.
+on the literal polynomial, shifted pairings by a digit-by-digit scan, and
+SVG/PPM files by formatting and painting point by point.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from gasket_spectrum.expansions import (
     UniquenessVerdict,
     alpha_digits,
 )
+from gasket_spectrum.geometry import _CANVAS, LAYER_COLORS
 from gasket_spectrum.words import Seq, Word
 
 
@@ -179,3 +181,88 @@ def digit_points(q: float, choices, translate=(0.0, 0.0)) -> tuple:
             y += dy * w
         pts.append((x + translate[0], y + translate[1]) if translate != (0.0, 0.0) else (x, y))
     return tuple(pts)
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.9f}"
+
+
+def _frame(clouds) -> tuple[float, float, float]:
+    """Common square frame: [-R*margin, 2R*margin] in both axes, R = 1/(q-1)."""
+    if clouds:
+        q = clouds[0].q
+    else:
+        q = 2.5
+    r = 1.0 / (q - 1.0)
+    margin = 1.05
+    lo = -r * margin
+    hi = 2 * r * margin
+    return lo, hi, hi - lo
+
+
+def reference_emit_svg(clouds, path: str) -> None:
+    """SVG written one formatted circle per point."""
+    qs = {c.q for c in clouds}
+    if len(qs) > 1:
+        raise DomainError("all clouds must share one base")
+    lo, _hi, span = _frame(clouds)
+    scale = _CANVAS / span
+
+    def sx(x: float) -> float:
+        return (x - lo) * scale
+
+    def sy(y: float) -> float:
+        return _CANVAS - (y - lo) * scale
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_CANVAS)}" '
+        f'height="{int(_CANVAS)}" viewBox="0 0 {int(_CANVAS)} {int(_CANVAS)}">',
+        '<rect width="100%" height="100%" fill="#ffffff"/>',
+    ]
+    for cloud in clouds:
+        color = LAYER_COLORS.get(cloud.kind, "#000000")
+        # half a cylinder diameter, floored so deep levels stay visible
+        radius = max((cloud.q ** -cloud.depth) / 2.0 * scale, 0.35)
+        lines.append(f'<g fill="{color}" data-layer="{cloud.kind}">')
+        for x, y in cloud.points:
+            lines.append(
+                f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="{_fmt(radius)}"/>')
+        lines.append("</g>")
+    lines.append("</svg>")
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+
+
+def reference_emit_ppm(clouds, path: str, size: int = 512) -> None:
+    """PPM painted point by point into a grid of RGB tuples."""
+    if size < 16 or size > 4096:
+        raise DomainError("raster size must be in [16, 4096]")
+    qs = {c.q for c in clouds}
+    if len(qs) > 1:
+        raise DomainError("all clouds must share one base")
+    lo, _hi, span = _frame(clouds)
+    white = (255, 255, 255)
+    grid = [[white] * size for _ in range(size)]
+    rgb = {"E": (153, 153, 153), "E_plus_t": (91, 141, 239),
+           "intersection": (214, 39, 40)}
+    for cloud in clouds:
+        color = rgb.get(cloud.kind, (0, 0, 0))
+        for x, y in cloud.points:
+            col = int((x - lo) / span * (size - 1))
+            row = size - 1 - int((y - lo) / span * (size - 1))
+            if 0 <= col < size and 0 <= row < size:
+                grid[row][col] = color
+    body = bytearray()
+    for row in grid:
+        for px in row:
+            body.extend(px)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(f"P6\n{size} {size}\n255\n".encode("ascii"))
+            fh.write(bytes(body))
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc

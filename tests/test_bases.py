@@ -179,8 +179,11 @@ def test_ladder_gaps_decreasing():
 
 
 def test_kl_rejects_bad_tolerance():
-    with pytest.raises(DomainError):
-        kl_constant(0.0)
+    # base_root shares kl_constant's tolerance check
+    for tolerance in (0.0, 0, -1.0, float("nan"), float("inf")):
+        for call in (kl_constant, lambda t: base_root(3, t), lambda t: base_root(1, t)):
+            with pytest.raises(DomainError, match="positive and finite"):
+                call(tolerance)
     with pytest.raises(PrecisionError):
         kl_constant(Fraction(1, 10 ** 500))
 

@@ -12,11 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from gasket_spectrum import selftest, words
+from gasket_spectrum import geometry, matching, selftest, words
 from gasket_spectrum.bases import as_base_value
 from gasket_spectrum.cli import build_parser, run
 from gasket_spectrum.config import DEFAULT_CONFIG, ENV_KEYS, RunConfig, load_config
 from gasket_spectrum.errors import DomainError
+
+from helpers import reference_emit_ppm, reference_emit_svg
 
 
 def run_cli(argv):
@@ -249,6 +251,44 @@ def test_max_n_cannot_raise_block_cap():
     code, text = run_cli(["verify", "--lemma", "3.1", "--n", "25", "--max-n", "40"])
     assert code == 1
     assert "scale 25" in text and str(words.MAX_BLOCK_EXPONENT) in text
+
+
+def test_render_checks_raster_size_before_building(tmp_path, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a point cloud was built for an invalid raster size")
+
+    monkeypatch.setattr(geometry, "build_gasket", no_build)
+    monkeypatch.setattr(geometry, "build_intersection", no_build)
+    out = io.StringIO()
+    code = run(["render", "--q", "2.5", "--t-seq", "+0-0^inf", "0;+0-0^inf",
+                "--depth", "12", "--out", str(tmp_path / "x.ppm"),
+                "--image-format", "ppm", "--size", "8"], out)
+    assert code == 1
+    assert "raster size must be in [16, 4096]" in out.getvalue()
+
+
+def test_render_output_matches_reference_emitters(tmp_path):
+    # the README's two render examples, and the intersection layer alone
+    q, x, y = "2.5", "+0-0^inf", "0;+0-0^inf"
+    pair = matching.zip_seqs(words.parse_seq(x), words.parse_seq(y))
+    e = geometry.build_gasket(q, 6)
+    et = geometry.build_gasket(q, 6, translate=geometry.translation_point(q, pair),
+                               kind="E_plus_t")
+    inter = geometry.build_intersection(q, pair, 6)
+    cases = [
+        ("all.svg", ["--layers", "e,et,int"], [e, et, inter], reference_emit_svg),
+        ("all.ppm", ["--image-format", "ppm", "--size", "512"], [e, et, inter],
+         reference_emit_ppm),
+        ("int.svg", ["--layers", "int"], [inter], reference_emit_svg),
+    ]
+    want = str(tmp_path / "reference")
+    for name, flags, clouds, reference in cases:
+        out = str(tmp_path / name)
+        code, _ = run_cli(["render", "--q", q, "--t-seq", x, y, "--depth", "6",
+                           "--out", out] + flags)
+        assert code == 0
+        reference(clouds, want)
+        assert open(out, "rb").read() == open(want, "rb").read(), name
 
 
 def test_render_spec_format_alias(tmp_path):

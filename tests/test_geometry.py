@@ -12,6 +12,7 @@ import pytest
 
 from gasket_spectrum.errors import DomainError, ResourceLimitError
 from gasket_spectrum.geometry import (
+    PointCloud,
     branch_set,
     build_gasket,
     build_intersection,
@@ -23,7 +24,7 @@ from gasket_spectrum.geometry import (
 from gasket_spectrum.matching import OMEGA1, OMEGA2, e_seq
 from gasket_spectrum.words import Seq
 
-from helpers import digit_points
+from helpers import digit_points, reference_emit_ppm, reference_emit_svg
 
 
 def _random_pair_seq(rng: random.Random, period_len: int) -> Seq:
@@ -222,3 +223,33 @@ def test_ppm_output(tmp_path):
 def test_ppm_size_limits(tmp_path):
     with pytest.raises(DomainError):
         emit_ppm([], str(tmp_path / "x.ppm"), size=8)
+
+
+def test_emitters_match_reference(tmp_path):
+    def assert_same_bytes(clouds, sizes):
+        paths = [str(tmp_path / name) for name in ("new", "ref")]
+        emit_svg(clouds, paths[0])
+        reference_emit_svg(clouds, paths[1])
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        for size in sizes:
+            emit_ppm(clouds, paths[0], size)
+            reference_emit_ppm(clouds, paths[1], size)
+            assert open(paths[0], "rb").read() == open(paths[1], "rb").read(), size
+
+    t = e_seq(1, 1, 2)
+    for q in ("2.25", "2.5", "2.9"):
+        shift = translation_point(q, t)
+        for depth in range(1, 8):
+            # E, E + t and the intersection overlap, so the last layer wins
+            clouds = [build_gasket(q, depth),
+                      build_gasket(q, depth, translate=shift, kind="E_plus_t"),
+                      build_intersection(q, t, depth)]
+            assert_same_bytes(clouds, (16, 17, 64, 512))
+    qf = build_gasket("2.5", 1).q
+    odd = PointCloud("E", qf, 3, (
+        (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.3, 0.3),
+        (-5.0, 0.5), (5.0, 0.5), (0.5, -5.0), (0.5, 5.0), (1e9, -1e9)))
+    unknown = PointCloud("unknown", qf, 2, ((0.1, 0.2), (0.3, 0.3), (-0.0, 0.0)))
+    empty = PointCloud("intersection", qf, 4, ())
+    for clouds in ([odd, unknown, empty], [unknown], [empty], []):
+        assert_same_bytes(clouds, (16, 17, 64))
