@@ -260,6 +260,8 @@ def _cmd_render(args, config):
     unknown = set(layers) - {"e", "et", "int"}
     if unknown:
         raise DomainError(f"unknown layers: {sorted(unknown)}")
+    if not layers:
+        raise DomainError("no layers to render")
     image_format = args.image_format
     if args.render_format in ("svg", "ppm"):
         image_format = args.render_format
@@ -283,7 +285,7 @@ def _cmd_render(args, config):
         "layers": [c.to_json_dict() for c in clouds],
     }
     return result, [f"  wrote {args.out} ({image_format}, "
-                    f"{sum(len(c.points) for c in clouds)} points)"]
+                    f"{sum(len(c.xs) for c in clouds)} points)"]
 
 
 def _cmd_selftest(args, config):

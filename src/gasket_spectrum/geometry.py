@@ -7,6 +7,8 @@ so outputs (and the SVG/PPM bytes derived from them) are identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 
 from .bases import as_base_value, require_working_base
 from .errors import DomainError, ResourceLimitError
@@ -39,14 +41,21 @@ class CylinderTree:
 
 @dataclass(frozen=True)
 class PointCloud:
+    """Points as two coordinate columns of floats: point k is (xs[k], ys[k])."""
     kind: str  # "E", "E_plus_t", or "intersection"
     q: float
     depth: int
-    points: tuple
+    xs: tuple
+    ys: tuple
+
+    @property
+    def points(self) -> tuple:
+        """The (x, y) pairs, built on each read."""
+        return tuple(zip(self.xs, self.ys))
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "q": self.q, "depth": self.depth,
-                "count": len(self.points)}
+                "count": len(self.xs)}
 
 
 def _check_depth(depth: int) -> None:
@@ -69,25 +78,30 @@ def cylinder_tree(q, t_seq: Seq, depth: int) -> CylinderTree:
     return CylinderTree(q=b.value, depth=depth, branch_sets=sets)
 
 
-def _digit_points(q: float, levels, translate=(0.0, 0.0)) -> tuple:
-    """Points sum_i a_i q^-i (+ translate) for each digit tuple in the product
-    of the per-level digit sets, in lexicographic digit order.
+def _digit_points(q: float, levels, translate=(0.0, 0.0)) -> tuple[tuple, tuple]:
+    """Columns (xs, ys) of the points sum_i a_i q^-i (+ translate), one per
+    digit tuple in the product of the per-level digit sets, in lexicographic
+    digit order.
 
     Built level by level: each point of level i-1 gets the term a_i q^-i of
     each digit a in level i's set. The sums take the same float additions in
     the same order as digit-by-digit evaluation, so the points are identical.
+    Flat float columns hold no per-point container for the collector to track.
     """
-    pts = [(0.0, 0.0)]
+    xs, ys = [0.0], [0.0]
     last = len(levels)
     for i, digits in enumerate(levels, start=1):
         w = q ** -i
-        steps = [(dx * w, dy * w) for dx, dy in digits]
+        step_x = [dx * w for dx, _ in digits]
+        step_y = [dy * w for _, dy in digits]
         if i == last and translate != (0.0, 0.0):
             tx, ty = translate
-            pts = [(x + sx + tx, y + sy + ty) for x, y in pts for sx, sy in steps]
+            xs = [x + sx + tx for x in xs for sx in step_x]
+            ys = [y + sy + ty for y in ys for sy in step_y]
         else:
-            pts = [(x + sx, y + sy) for x, y in pts for sx, sy in steps]
-    return tuple(pts)
+            xs = [x + sx for x in xs for sx in step_x]
+            ys = [y + sy for y in ys for sy in step_y]
+    return tuple(xs), tuple(ys)
 
 
 def build_gasket(q, depth: int, translate: tuple[float, float] = (0.0, 0.0),
@@ -96,15 +110,15 @@ def build_gasket(q, depth: int, translate: tuple[float, float] = (0.0, 0.0),
     b = require_working_base(as_base_value(q))
     _check_depth(depth)
     qf = b.value
-    pts = _digit_points(qf, (OMEGA1,) * depth, translate)
-    return PointCloud(kind=kind, q=qf, depth=depth, points=pts)
+    xs, ys = _digit_points(qf, (OMEGA1,) * depth, translate)
+    return PointCloud(kind=kind, q=qf, depth=depth, xs=xs, ys=ys)
 
 
 def build_intersection(q, t_seq: Seq, depth: int) -> PointCloud:
     """Points of the intersection cylinder set at the given depth."""
     tree = cylinder_tree(q, t_seq, depth)
-    pts = _digit_points(tree.q, tree.branch_sets)
-    return PointCloud(kind="intersection", q=tree.q, depth=depth, points=pts)
+    xs, ys = _digit_points(tree.q, tree.branch_sets)
+    return PointCloud(kind="intersection", q=tree.q, depth=depth, xs=xs, ys=ys)
 
 
 def translation_point(q, t_seq: Seq) -> tuple[float, float]:
@@ -169,11 +183,11 @@ def emit_svg(clouds, path: str) -> None:
         # half a cylinder diameter, floored so deep levels stay visible
         radius = max((cloud.q ** -cloud.depth) / 2.0 * scale, 0.35)
         tail = f'" r="{radius:.9f}"/>\n'
-        pts = cloud.points
-        cx = {x: f'<circle cx="{(x - lo) * scale:.9f}" cy="' for x in {x for x, _ in pts}}
-        cy = {y: f"{_CANVAS - (y - lo) * scale:.9f}{tail}" for y in {y for _, y in pts}}
+        cx = {x: f'<circle cx="{(x - lo) * scale:.9f}" cy="' for x in set(cloud.xs)}
+        cy = {y: f"{_CANVAS - (y - lo) * scale:.9f}{tail}" for y in set(cloud.ys)}
         parts.append(f'<g fill="{color}" data-layer="{cloud.kind}">\n')
-        parts.append("".join([cx[x] + cy[y] for x, y in pts]))
+        parts.append("".join(chain.from_iterable(
+            zip(map(cx.__getitem__, cloud.xs), map(cy.__getitem__, cloud.ys)))))
         parts.append("</g>\n")
     parts.append("</svg>\n")
     _write(path, "".join(parts).encode("ascii"))
@@ -194,12 +208,12 @@ def emit_ppm(clouds, path: str, size: int = 512) -> None:
     m = size - 1
     for cloud in clouds:
         index = palette.setdefault(LAYER_COLORS.get(cloud.kind, "#000000"), len(palette))
-        pts = cloud.points
-        cols = {x: int((x - lo) / span * m) for x in {x for x, _ in pts}}
-        rows = {y: m - int((y - lo) / span * m) for y in {y for _, y in pts}}
+        cols = {x: int((x - lo) / span * m) for x in set(cloud.xs)}
+        rows = {y: m - int((y - lo) / span * m) for y in set(cloud.ys)}
         cols = {x: c if 0 <= c < size else off for x, c in cols.items()}
         rows = {y: r * size if 0 <= r < size else off for y, r in rows.items()}
-        for pixel in {rows[y] + cols[x] for x, y in pts}:
+        for pixel in set(map(add, map(rows.__getitem__, cloud.ys),
+                             map(cols.__getitem__, cloud.xs))):
             if pixel >= 0:
                 raster[pixel] = index
     rgb = [bytes.fromhex(color[1:]) for color in palette]

@@ -186,9 +186,9 @@ def _check_greedy(config: RunConfig) -> str:
 def _check_geometry(config: RunConfig) -> str:
     t = matching.e_seq(1, 1, 2)
     cloud = geometry.build_intersection("2.5", t, 8)
-    _require(len(cloud.points) == 3 ** 4)
+    _require(len(cloud.xs) == 3 ** 4)
     gasket = geometry.build_gasket("2.5", 5)
-    _require(len(gasket.points) == 3 ** 5 == len(set(gasket.points)))
+    _require(len(gasket.xs) == 3 ** 5 == len(set(gasket.points)))
     import os
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:

@@ -143,6 +143,14 @@ def test_render_layer_selection(tmp_path):
     assert code == 1
 
 
+def test_render_without_layers_is_domain_error(tmp_path):
+    out = tmp_path / "none.svg"
+    code, text = run_cli(["render", "--q", "2.9", "--t-seq", "+0-0^inf", "0;+0-0^inf",
+                          "--depth", "3", "--out", str(out), "--layers", ","])
+    assert code == 1 and "no layers to render" in text
+    assert not out.exists()
+
+
 def test_byte_determinism_all_commands(tmp_path):
     commands = [
         ["dq", "--q", "2.2", "--format", "json"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import random
@@ -86,6 +87,24 @@ def test_level_by_level_points_equal_digit_sums():
             tree = cylinder_tree(q, t, depth)
             assert build_intersection(q, t, depth).points == \
                 digit_points(tree.q, product(*tree.branch_sets))
+
+
+def test_point_columns_track_no_per_point_objects():
+    # Per-point tuples would hand the collector 3^depth objects per build.
+    shift = translation_point("2.5", e_seq(1, 1, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        for kwargs in ({}, {"translate": shift, "kind": "E_plus_t"}):
+            before = len(gc.get_objects())
+            c = build_gasket("2.5", 9, **kwargs)
+            assert len(gc.get_objects()) - before < 50, kwargs
+            assert len(c.xs) == len(c.ys) == 3 ** 9
+            assert c.points == tuple(zip(c.xs, c.ys))
+            hash(c)
+            del c
+    finally:
+        gc.enable()
 
 
 def test_gasket_depth_limits():
@@ -245,11 +264,17 @@ def test_emitters_match_reference(tmp_path):
                       build_gasket(q, depth, translate=shift, kind="E_plus_t"),
                       build_intersection(q, t, depth)]
             assert_same_bytes(clouds, (16, 17, 64, 512))
+
+    def cloud(kind, depth, points):
+        xs = tuple(x for x, _ in points)
+        ys = tuple(y for _, y in points)
+        return PointCloud(kind, qf, depth, xs, ys)
+
     qf = build_gasket("2.5", 1).q
-    odd = PointCloud("E", qf, 3, (
+    odd = cloud("E", 3, (
         (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.3, 0.3),
         (-5.0, 0.5), (5.0, 0.5), (0.5, -5.0), (0.5, 5.0), (1e9, -1e9)))
-    unknown = PointCloud("unknown", qf, 2, ((0.1, 0.2), (0.3, 0.3), (-0.0, 0.0)))
-    empty = PointCloud("intersection", qf, 4, ())
+    unknown = cloud("unknown", 2, ((0.1, 0.2), (0.3, 0.3), (-0.0, 0.0)))
+    empty = cloud("intersection", 4, ())
     for clouds in ([odd, unknown, empty], [unknown], [empty], []):
         assert_same_bytes(clouds, (16, 17, 64))
