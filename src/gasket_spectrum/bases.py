@@ -6,8 +6,13 @@ Every numeric base is carried as a BaseValue: an exact rational enclosure
 right-closed band boundaries decidable; bare numerics can never certify
 equality with an irrational ladder point.
 
-Every root is found by one bisection on the certified sign of a value
-function minus 1. The ladder value V_n(q) = sum_i w_n[i] q^-i takes O(n)
+Every root is found by one bisection on the sign of a value function minus
+1. An uncertified Illinois (regula falsi) estimate r of the crossing decides
+each halving step (a mid below r lies left of the crossing), and only the two
+final ends are certified; if either fails, the halving runs again with every
+mid certified. A step sent to the wrong side would leave the crossing outside
+the final interval, so certified ends imply the enclosure of the fully
+certified bisection. The ladder value V_n(q) = sum_i w_n[i] q^-i takes O(n)
 Decimal operations through the doubling identity
 
     V_{k+1} = V_k (1 - u_k) + 2 u_k (1 - u_k) / (q - 1) + u_k^2,
@@ -33,6 +38,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import AmbiguousClassificationError, DomainError, PrecisionError
+from .report import float_str
 from .words import Word, inc_last, reflect2
 
 DEFAULT_TOLERANCE = 1e-12  # enclosure width asked of roots and of the limit base
@@ -125,7 +131,8 @@ def as_base_value(q) -> BaseValue:
 
 def require_working_base(b: BaseValue) -> BaseValue:
     if not (b.lo > 2 and b.hi < 3):
-        raise DomainError(f"base enclosure [{float(b.lo)}, {float(b.hi)}] is not inside (2, 3)")
+        raise DomainError(
+            f"base enclosure [{float_str(b.lo)}, {float_str(b.hi)}] is not inside (2, 3)")
     return b
 
 
@@ -201,20 +208,74 @@ def _certified_sign(valfn, mid: Decimal, prec: int) -> int:
     raise PrecisionError("sign could not be certified")
 
 
-def _bisect(valfn, lo: Decimal, hi: Decimal, digits: int) -> tuple[Fraction, Fraction]:
-    """Shrink [lo, hi] to width 10^-digits around the crossing of valfn = 1;
-    valfn falls as q grows, so a value above 1 lies left of the crossing."""
-    prec = digits + 30
+_CROSSING_STEPS = 200  # Illinois steps; every root and KL depth needs at most 20
+
+
+def _crossing(valfn, lo: Decimal, hi: Decimal, prec: int) -> Decimal:
+    """Estimate of the crossing of valfn = 1 in [lo, hi] by the Illinois
+    variant of regula falsi at prec digits. It stops once the bracket is 10^5
+    units of the last place wide, or once the step falls below the last place
+    and the estimate rounds onto an end. Uncertified: only a guide for _bisect."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        width = Decimal(10) ** (5 - prec)
+        flo, fhi = valfn(lo) - 1, valfn(hi) - 1
+        kept = 0  # +1 if lo was kept by the last step, -1 if hi was
+        for _ in range(_CROSSING_STEPS):
+            c = (lo * fhi - hi * flo) / (fhi - flo)
+            if not lo < c < hi or hi - lo <= width:
+                break
+            fc = valfn(c) - 1
+            if fc > 0:
+                lo, flo = c, fc
+                if kept < 0:
+                    fhi /= 2
+                kept = -1
+            elif fc < 0:
+                hi, fhi = c, fc
+                if kept > 0:
+                    flo /= 2
+                kept = 1
+            else:
+                break
+        return c
+
+
+def _halve(lo: Decimal, hi: Decimal, digits: int, above) -> tuple[Decimal, Decimal]:
+    """Halve [lo, hi] down to width 10^-digits, keeping the right half of mid
+    when above(mid), i.e. when valfn(mid) > 1."""
     target = Decimal(10) ** (-digits)
     with localcontext() as ctx:
-        ctx.prec = prec + 10
+        ctx.prec = digits + 40
         while hi - lo > target:
             mid = (lo + hi) / 2
-            if _certified_sign(valfn, mid, prec) > 0:
+            if above(mid):
                 lo = mid
             else:
                 hi = mid
-    return Fraction(lo), Fraction(hi)
+    return lo, hi
+
+
+def _bisect(valfn, lo: Decimal, hi: Decimal, digits: int) -> tuple[Fraction, Fraction]:
+    """Shrink [lo, hi] to width 10^-digits around the crossing of valfn = 1;
+    valfn falls as q grows, so a value above 1 lies left of the crossing.
+
+    The halving is replayed against an uncertified estimate r of the crossing
+    (mid goes left of the crossing when mid < r), and only its two final ends
+    are certified. valfn - 1 changes sign once in [lo, hi] and no rational mid
+    is the irrational crossing, so a step sent to the wrong side would leave
+    the crossing outside the final interval and fail one end's certificate.
+    Certified ends therefore imply the sign sequence, and the enclosure, that
+    certifying every mid gives; if an end fails, that is what runs. An end
+    still equal to the initial one is never evaluated, as in the full loop.
+    """
+    prec = digits + 30
+    r = _crossing(valfn, lo, hi, prec + 10)
+    a, b = _halve(lo, hi, digits, lambda mid: mid < r)
+    if not ((a == lo or _certified_sign(valfn, a, prec) > 0)
+            and (b == hi or _certified_sign(valfn, b, prec) < 0)):
+        a, b = _halve(lo, hi, digits, lambda mid: _certified_sign(valfn, mid, prec) > 0)
+    return Fraction(a), Fraction(b)
 
 
 @cache

@@ -33,6 +33,7 @@ from math import lcm
 
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
 from .errors import DomainError, PrecisionError, ResourceLimitError
+from .report import float_str
 from .words import Seq, Word, dec_last, reflect, tm_block, tm_diff
 
 ALPHA_HORIZON = 4096  # digits of a non-periodic alpha that a comparison may read
@@ -81,7 +82,7 @@ def greedy_expand(x, q, depth: int) -> Word:
     t = x if isinstance(x, Fraction) else Fraction(x)
     bound = interval_bound(qf)
     if not (-bound <= t <= bound):
-        raise DomainError(f"{float(t)} is outside the representable interval")
+        raise DomainError(f"{float_str(t)} is outside the representable interval")
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     digits = []

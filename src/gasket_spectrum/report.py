@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any
 
@@ -14,6 +15,16 @@ SCHEMA_VERSION = "1"
 
 def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+def float_str(x: Fraction) -> str:
+    """x as a float where a float holds it, else to 17 significant digits:
+    1e400 overflows a float and 1e-400 rounds to 0.0."""
+    if x == 0 or 1e-300 < abs(x) < 1e300:
+        return str(float(x))
+    with localcontext() as ctx:
+        ctx.prec = 17
+        return str((Decimal(x.numerator) / x.denominator).normalize())
 
 
 def decimal_str(x: Fraction, digits: int = 40) -> str:

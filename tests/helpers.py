@@ -3,12 +3,14 @@
 These deliberately avoid the library's own code paths: uniqueness is decided
 by exact residual-interval feasibility and by a per-position Seq comparison,
 sequence values by direct partial summation, roots by plain float bisection
-on the literal polynomial, shifted pairings by a digit-by-digit scan, and
+on the literal polynomial or by a bisection that certifies every sign it
+takes, shifted pairings by a digit-by-digit scan, and
 SVG/PPM files by formatting and painting point by point.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
@@ -120,6 +122,23 @@ def float_bisect(poly, lo: float, hi: float, iters: int = 100) -> float:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def certified_bisect(valfn, lo: Decimal, hi: Decimal, digits: int) -> tuple[Fraction, Fraction]:
+    """Shrink [lo, hi] to width 10^-digits around the crossing of valfn = 1,
+    certifying the sign of valfn - 1 at every mid: the reference enclosure
+    that bases._bisect must reproduce exactly."""
+    prec = digits + 30
+    target = Decimal(10) ** (-digits)
+    with localcontext() as ctx:
+        ctx.prec = prec + 10
+        while hi - lo > target:
+            mid = (lo + hi) / 2
+            if bases._certified_sign(valfn, mid, prec) > 0:
+                lo = mid
+            else:
+                hi = mid
+    return Fraction(lo), Fraction(hi)
 
 
 def band_midpoint(m: int) -> bases.BaseValue:

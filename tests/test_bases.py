@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from gasket_spectrum import bases
 from gasket_spectrum.bases import (
+    DEFAULT_TOLERANCE,
     MAX_LADDER_INDEX,
     BaseValue,
     as_base_value,
@@ -24,7 +26,7 @@ from gasket_spectrum.errors import (
 )
 from gasket_spectrum.words import tm_block
 
-from helpers import float_bisect, ladder_value_exact
+from helpers import certified_bisect, float_bisect, ladder_value_exact
 
 
 def test_ladder_words_small():
@@ -103,6 +105,71 @@ def test_doubling_evaluator_agrees_with_horner():
             ctx.prec = 60
             fast = bases._ladder_value_dec(Decimal("2.47"), n)
         assert abs(Fraction(str(fast)) - exact) < Fraction(1, 10 ** 50)
+
+
+def _ladder_case(n: int, digits: int):
+    return (lambda q: bases._ladder_value_dec(q, n)), Decimal(2), Decimal(3), digits
+
+
+def _kl_case(digits: int):
+    return bases._limit_value_dec, Decimal("2.5"), Decimal("2.6"), digits
+
+
+def test_guided_bisection_matches_certified_reference():
+    # The replayed halving certifies only its two final ends; the enclosures
+    # must equal those of certifying every mid, as Fractions. Tolerance 1e-30
+    # asks fewer digits than the 40-digit floor, so both share one reference.
+    reference = {}
+    for tolerance in (DEFAULT_TOLERANCE, 1e-30):
+        for n in range(2, MAX_LADDER_INDEX + 1):
+            digits = bases._width_digits(n, tolerance)
+            if (n, digits) not in reference:
+                reference[n, digits] = certified_bisect(*_ladder_case(n, digits))
+            r = bases._root(n, digits)
+            assert (r.lo, r.hi) == reference[n, digits], (n, tolerance)
+    for digits in (80, 160, 320, 460):
+        kl = bases._kl(digits)
+        assert (kl.lo, kl.hi) == certified_bisect(*_kl_case(digits)), digits
+
+
+@pytest.mark.parametrize("estimate", ["off_by_margin", "bracket_end"])
+def test_bisection_falls_back_to_certifying_every_mid(monkeypatch, estimate):
+    # A wrong crossing estimate fails an end certificate, and the halving runs
+    # again with a certified sign at every mid.
+    real_crossing, real_sign = bases._crossing, bases._certified_sign
+
+    def crossing(valfn, lo, hi, prec):
+        if estimate == "bracket_end":
+            return lo
+        digits = prec - 40
+        with localcontext() as ctx:
+            ctx.prec = prec
+            return real_crossing(valfn, lo, hi, prec) + Decimal(10) ** (5 - digits)
+
+    signs = []
+
+    def certified_sign(valfn, mid, prec):
+        signs.append(mid)
+        return real_sign(valfn, mid, prec)
+
+    monkeypatch.setattr(bases, "_crossing", crossing)
+    monkeypatch.setattr(bases, "_certified_sign", certified_sign)
+    for n, digits in ((3, 40), (9, 134)):
+        signs.clear()
+        lo, hi = bases._bisect(*_ladder_case(n, digits))
+        assert len(signs) > 3 * digits, n
+        assert (lo, hi) == certified_bisect(*_ladder_case(n, digits)), n
+        assert ladder_value_exact(lo, n) > 1 > ladder_value_exact(hi, n), n
+    assert bases._bisect(*_kl_case(80)) == certified_bisect(*_kl_case(80))
+
+
+def test_deep_ladder_sweep_is_fast():
+    # bases --max-n 24 is a sweep to the ladder cap; it must not take minutes.
+    bases._root.cache_clear()
+    started = time.perf_counter()
+    for n in range(2, MAX_LADDER_INDEX + 1):
+        base_root(n)
+    assert time.perf_counter() - started < 3
 
 
 def test_kl_enclosure_position():

@@ -74,6 +74,24 @@ def test_classify_domain_error_exit_code():
     assert "error" in text
 
 
+def test_base_beyond_float_range_is_domain_error(capsys):
+    # 1e400 overflows a float and 1e-400 rounds to 0.0; the message keeps both.
+    for q, shown in (("1e400", "1E+400"), ("1e-400", "1E-400")):
+        for argv in (["dq", "--q", q], ["classify", "--q", q],
+                     ["unique", "--q", q, "--seq", "0^inf"],
+                     ["expand", "--q", q, "--x", "1/2"]):
+            code, text = run_cli(argv)
+            assert code == 1 and f"error: base enclosure [{shown}, {shown}]" in text, argv
+            code, payload = run_json(argv)
+            assert code == 1 and shown in payload["result"]["error"], argv
+    argv = ["expand", "--q", "2.5", "--x", "1e400"]
+    code, text = run_cli(argv)
+    assert code == 1 and "error: 1E+400 is outside the representable interval" in text
+    code, payload = run_json(argv)
+    assert code == 1 and "1E+400" in payload["result"]["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli(["no-such-command"])
     assert code == 2
