@@ -21,6 +21,7 @@ ENV_KEYS = {
 }
 
 _INT_FIELDS = {"max_block_exponent", "kl_terms"}
+MAX_KL_TERMS = 1024  # family terms a KL report lists; its size grows quadratically
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,8 @@ class RunConfig:
         for f in fields(self):
             if f.name in _INT_FIELDS and getattr(self, f.name) < 1:
                 raise DomainError(f"{f.name} must be a positive integer")
+        if self.kl_terms > MAX_KL_TERMS:
+            raise DomainError(f"kl_terms {self.kl_terms} exceeds cap {MAX_KL_TERMS}")
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -17,10 +17,10 @@ with strict lexicographic comparisons. Increasing (decreasing) a digit is
 compensable exactly when the corresponding tail value reaches 1, and the
 quasi-greedy word is the lexicographic threshold for that. For eventually
 periodic input only finitely many distinct (digit, tail) pairs occur, so the
-check terminates. The candidate digits sit in one tuple read by index, and
-each tail is compared with certified digits of alpha in one pass. Against a
-periodic alpha the pass has an exact length; otherwise a tie must be settled
-within ALPHA_HORIZON digits, or the check fails loudly (PrecisionError).
+check terminates. Each tail is one bytes slice, compared with a window of
+certified alpha digits that doubles only on a tie. Against a periodic alpha
+the window stops at an exact length; otherwise a tie must be settled within
+ALPHA_HORIZON digits, or the check fails loudly (PrecisionError).
 """
 
 from __future__ import annotations
@@ -34,15 +34,13 @@ from math import lcm
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
 from .errors import DomainError, PrecisionError, ResourceLimitError
 from .report import float_str
-from .words import Seq, Word, dec_last, reflect, tm_block, tm_diff
+from .words import Seq, Word, dec_last, reflect, tm_block
 
 ALPHA_HORIZON = 4096  # digits of a non-periodic alpha that a comparison may read
+FIRST_WINDOW = 16  # alpha digits a comparison reads before a tie doubles the window
 MAX_WORD_LENGTH = 1 << 24  # longest tail word kl_tail builds
-
-
-def interval_bound(q: Fraction) -> Fraction:
-    """Largest representable value 1/(q-1); the representable set is symmetric."""
-    return Fraction(1) / (q - 1)
+MAX_EXPAND_DEPTH = 4096  # digits greedy_expand produces; each costs more than the last
+_REFLECT = bytes.maketrans(b"\x00\x01\x02", b"\x02\x01\x00")  # d -> 2 - d
 
 
 def evaluate_exact(seq: Seq, q: Fraction) -> Fraction:
@@ -77,14 +75,15 @@ def greedy_expand(x, q, depth: int) -> Word:
     is the largest d with q t - d still representable, d = min(1, floor(q t + 1/(q-1))).
     The truncation deficit obeys |x - partial| <= q^-depth / (q - 1).
     """
-    b = require_working_base(as_base_value(q))
-    qf = b.midpoint
+    qf = require_working_base(as_base_value(q)).midpoint
     t = x if isinstance(x, Fraction) else Fraction(x)
-    bound = interval_bound(qf)
+    bound = 1 / (qf - 1)  # the largest representable value; the set is symmetric
     if not (-bound <= t <= bound):
         raise DomainError(f"{float_str(t)} is outside the representable interval")
     if depth < 0:
         raise DomainError("depth must be nonnegative")
+    if depth > MAX_EXPAND_DEPTH:
+        raise ResourceLimitError(f"depth {depth} exceeds cap {MAX_EXPAND_DEPTH}")
     digits = []
     for _ in range(depth):
         shifted = qf * t + bound
@@ -99,69 +98,73 @@ def greedy_expand(x, q, depth: int) -> Word:
 # ---------------------------------------------------------------------------
 
 class AlphaDigits:
-    """Certified digits of the quasi-greedy expansion of 1 in base q.
+    """Certified digits of the quasi-greedy expansion of 1 in base q, as bytes.
 
-    Three backings: a periodic word (exact forever) for tagged ladder roots,
-    the shifted difference sequence (exact forever) for the Komornik-Loreti
-    tag, and the integer recursion for rational point bases. For an untagged
-    genuine enclosure the digits are those on which the two endpoint
-    expansions agree; asking past the agreement point raises PrecisionError.
+    One backing per kind of base: the period, repeated, for a tagged ladder
+    root; the difference block shifted by one for the Komornik-Loreti tag; for
+    a rational point, the recursion up to the horizon cap on two integers (no
+    gcd per step); for an untagged enclosure, the common prefix of its ends.
     """
 
     def __init__(self, base: BaseValue):
         self._lock = threading.Lock()  # the cache hands one instance to every thread
-        self._digits: list[int] = []
-        self.periodic: tuple[Word, Word] | None = None  # (preperiod, period)
+        self._digits, self._ends = b"", None
+        self.period: Word | None = None  # alpha is this word repeated for ever
         if base.ladder_index is not None:
             if base.ladder_index < 2:
                 raise DomainError("q = 2 is not a working base")
-            per = dec_last(ladder_word(base.ladder_index).word, alphabet_min=0)
-            self.periodic = ((), per)
-            self._kind = "periodic"
+            self.period = dec_last(ladder_word(base.ladder_index).word, alphabet_min=0)
+            self._digits = bytes(self.period)
         elif base.is_kl:
-            self._kind = "kl"
+            self._grow = lambda _, n: bytes(d + 1 for d in tm_block((n - 1).bit_length()))
         elif base.is_point:
             require_working_base(base)
-            self._kind = "rational"
-            self._q = base.lo
-            self._res = Fraction(1)
+            self._grow = _recursion(base.lo)
         else:
             require_working_base(base)
-            self._kind = "enclosure"
-            self._lo_stream = AlphaDigits(BaseValue(base.lo, base.lo))
-            self._hi_stream = AlphaDigits(BaseValue(base.hi, base.hi))
+            self._ends = [AlphaDigits(BaseValue(x, x)) for x in (base.lo, base.hi)]
 
-    def digit(self, i: int) -> int:
-        """1-based certified digit; raises PrecisionError past the horizon cap."""
-        if i < 1:
-            raise DomainError("positions are 1-based")
-        if self._kind == "periodic":
-            pre, per = self.periodic
-            if i <= len(pre):
-                return pre[i - 1]
-            return per[(i - 1 - len(pre)) % len(per)]
-        if self._kind == "kl":
-            return tm_diff(i) + 1
-        if i > ALPHA_HORIZON:
-            raise PrecisionError(f"alpha digit {i} exceeds the horizon cap {ALPHA_HORIZON}")
-        if self._kind == "enclosure":
-            a, b = self._lo_stream.digit(i), self._hi_stream.digit(i)
-            if a != b:
-                raise PrecisionError(
-                    f"alpha digit {i} is not determined by the base enclosure")
-            return a
+    def prefix(self, n: int) -> bytes:
+        """The certified digits among the first n: all of them, except past the
+        horizon cap of a rational base or where an enclosure's ends disagree."""
+        if self.period is not None:
+            return self._digits * (n // len(self._digits)) + self._digits[:n % len(self._digits)]
+        if self._ends is not None:
+            lo, hi = (end.prefix(n) for end in self._ends)
+            return lo[:next((i for i, (x, y) in enumerate(zip(lo, hi)) if x != y), len(lo))]
         with self._lock:
-            while len(self._digits) < i:
-                qr = self._q * self._res
-                d = (qr.numerator - 1) // qr.denominator if qr.denominator == 1 \
-                    else qr.numerator // qr.denominator
-                d = max(0, min(2, d))
-                self._digits.append(d)
-                self._res = qr - d
-            return self._digits[i - 1]
+            if len(self._digits) < n:
+                self._digits = self._grow(self._digits, n)
+            return self._digits[:n]
 
     def word(self, depth: int) -> Word:
-        return tuple(self.digit(i) for i in range(1, depth + 1))
+        digits = self.prefix(depth)
+        if len(digits) < depth:
+            raise _uncertified(len(digits) + 1)
+        return tuple(digits)
+
+
+def _recursion(q: Fraction):
+    """The quasi-greedy recursion at q, run on to min(n, ALPHA_HORIZON) digits."""
+    a, b = q.numerator, q.denominator
+    r = den = 1  # the residual is r / den, two integers, so no step pays for a gcd
+
+    def grow(digits: bytes, n: int) -> bytes:
+        nonlocal r, den
+        new = bytearray()
+        for _ in range(len(digits), min(n, ALPHA_HORIZON)):
+            r, den = a * r, b * den  # q times the residual
+            d = max(0, min(2, (r - 1) // den))  # ceil(q * residual) - 1
+            new.append(d)
+            r -= d * den
+        return digits + new
+
+    return grow
+
+
+def _uncertified(i: int) -> PrecisionError:
+    return PrecisionError(f"alpha digit {i} exceeds the horizon cap {ALPHA_HORIZON}" if i > ALPHA_HORIZON
+                          else f"alpha digit {i} is not determined by the base enclosure")
 
 
 @lru_cache(maxsize=256)  # bounded: every rational base would otherwise stay for good
@@ -201,42 +204,38 @@ class UniquenessVerdict:
 def uniqueness_verdict(seq: Seq, q) -> UniquenessVerdict:
     """Full verdict with the failing position and violated clause on rejection.
 
-    The digits are shifted to {0, 1, 2} once and read by index. Each tail is
-    compared with alpha up to one limit: for a periodic alpha, agreement that
-    far means equality for ever; otherwise the limit is the horizon cap.
+    Each tail, or its reflection, is one bytes slice compared with a window of
+    alpha that doubles on a tie up to one limit: agreement that far means
+    equality for a periodic alpha, and a PrecisionError otherwise.
     """
     digits = seq.preperiod + seq.period
     for d in digits:
         if d not in (-1, 0, 1):
             raise DomainError(f"digit {d!r} is not ternary")
     alpha = alpha_digits(q)
-    c = tuple(d + 1 for d in digits)
+    c = bytes(d + 1 for d in digits)
     pre, per = len(seq.preperiod), len(seq.period)
-    if alpha.periodic is not None:
-        pre_a, per_a = alpha.periodic
-        limit = pre + len(pre_a) + lcm(per, len(per_a)) + 1
-    else:
-        limit = ALPHA_HORIZON
+    limit = ALPHA_HORIZON if alpha.period is None else pre + lcm(per, len(alpha.period)) + 1
 
-    def at(j: int) -> int:
-        return c[j - 1] if j <= pre else c[pre + (j - 1 - pre) % per]
+    def lay_out(window: int) -> tuple[int, tuple[bytes, bytes], bytes]:
+        line = c[:pre] + c[pre:] * (2 + window // per)  # every tail, window digits long
+        return window, (line, line.translate(_REFLECT)), alpha.prefix(window)
 
-    def reaches_alpha(k: int, reflected: bool) -> bool:
-        """Whether the tail after position k (or its reflection) is >= alpha."""
-        for i in range(1, limit + 1):
-            a = 2 - at(k + i) if reflected else at(k + i)
-            b = alpha.digit(i)
-            if a != b:
-                return a > b
-        if alpha.periodic is None:
-            raise PrecisionError(f"lexicographic comparison undecided after {limit} digits")
-        return True
-
+    window, lines, a = lay_out(min(FIRST_WINDOW, limit))
     for k, d in enumerate(c, start=1):
-        if d < 2 and reaches_alpha(k, False):
-            return UniquenessVerdict(False, k, "tail")
-        if d > 0 and reaches_alpha(k, True):
-            return UniquenessVerdict(False, k, "reflected_tail")
+        for reflected, clause, applies in ((0, "tail", d < 2), (1, "reflected_tail", d > 0)):
+            if not applies:
+                continue
+            while (tail := lines[reflected][k:k + len(a)]) == a:  # a tie: widen the window
+                if len(a) < window:
+                    raise _uncertified(len(a) + 1)
+                if window == limit:
+                    if alpha.period is None:
+                        raise PrecisionError(f"lexicographic comparison undecided after {limit} digits")
+                    break
+                window, lines, a = lay_out(min(2 * window, limit))
+            if tail >= a:  # the tail reaches alpha
+                return UniquenessVerdict(False, k, clause)
     return UniquenessVerdict(True)
 
 

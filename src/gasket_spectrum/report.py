@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any
@@ -78,10 +78,9 @@ class Report:
     timing_ms: int = 0
     version: str = __version__
     schema: str = SCHEMA_VERSION
-    extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        payload = {
+        return {
             "command": self.command,
             "inputs": self.inputs,
             "result": self.result,
@@ -89,8 +88,6 @@ class Report:
             "version": self.version,
             "schema": self.schema,
         }
-        payload.update(self.extras)
-        return payload
 
     def to_bytes(self) -> bytes:
         return canonical_json_bytes(self.to_json_dict())

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bases import BaseValue, RegimeLabel, as_base_value, classify
+from .bases import RegimeLabel, as_base_value, classify
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import CapabilityError, DomainError, InternalConsistencyError
 from .expansions import KLTailDescriptor, is_unique_expansion, kl_tail
@@ -84,14 +84,12 @@ def dimension(q, density) -> float:
 class SFTSpec:
     n: int
     letters: dict  # name -> Word, names per SFT_LETTER_ORDER
-    transition: tuple = SFT_MATRIX
-    base: BaseValue | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "letters": {k: list(v) for k, v in self.letters.items()},
-            "transition": [list(r) for r in self.transition],
+            "transition": [list(r) for r in SFT_MATRIX],
         }
 
 
@@ -152,7 +150,7 @@ def sft_spec(q, config: RunConfig = DEFAULT_CONFIG) -> SFTSpec:
         paths.append(U1_PATHS[1] + U2_PATHS[1])
         words = [Seq((), _path_word(letters, p)) for p in paths]
         if all(is_unique_expansion(w, b) for w in words):
-            return SFTSpec(n=n, letters=letters, base=b)
+            return SFTSpec(n=n, letters=letters)
         failures.append(n)
     raise CapabilityError(
         f"no letter scale up to {SFT_MAX_N} embeds in the unique-expansion "

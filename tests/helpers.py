@@ -2,6 +2,7 @@
 
 These deliberately avoid the library's own code paths: uniqueness is decided
 by exact residual-interval feasibility and by a per-position Seq comparison,
+the quasi-greedy digits of 1 by a Fraction recursion,
 sequence values by direct partial summation, roots by plain float bisection
 on the literal polynomial or by a bisection that certifies every sign it
 takes, shifted pairings by a digit-by-digit scan, and
@@ -69,21 +70,39 @@ def residual_unique(seq: Seq, q: Fraction) -> bool:
 
 def _compare_seq_with_alpha(tail: Seq, alpha: AlphaDigits) -> int:
     """-1 if tail < alpha lexicographically, +1 if greater, 0 if equal."""
-    if alpha.periodic is not None:
-        pre_a, per_a = alpha.periodic
-        limit = (len(tail.preperiod) + len(pre_a)
-                 + (len(tail.period) * len(per_a)) // gcd(len(tail.period), len(per_a))
+    if alpha.period is not None:
+        limit = (len(tail.preperiod)
+                 + (len(tail.period) * len(alpha.period)) // gcd(len(tail.period), len(alpha.period))
                  + 1)
-        for i in range(1, limit + 1):
-            a, b = tail.digit(i), alpha.digit(i)
-            if a != b:
-                return -1 if a < b else 1
-        return 0
-    for i in range(1, ALPHA_HORIZON + 1):
-        a, b = tail.digit(i), alpha.digit(i)
+    else:
+        limit = ALPHA_HORIZON
+    digits = b""
+    for i in range(1, limit + 1):
+        if i > len(digits):
+            digits = alpha.prefix(2 * i)  # alpha is read only as far as the tie runs
+            if i > len(digits):
+                raise PrecisionError(f"alpha digit {i} is not determined by the base enclosure")
+        a, b = tail.digit(i), digits[i - 1]
         if a != b:
             return -1 if a < b else 1
+    if alpha.period is not None:
+        return 0
     raise PrecisionError(f"lexicographic comparison undecided after {ALPHA_HORIZON} digits")
+
+
+def fraction_alpha(q: Fraction, depth: int) -> Word:
+    """Quasi-greedy digits of 1 by the Fraction recursion: the reference for
+    the library's integer one."""
+    res = Fraction(1)
+    digits = []
+    for _ in range(depth):
+        qr = q * res
+        d = (qr.numerator - 1) // qr.denominator if qr.denominator == 1 \
+            else qr.numerator // qr.denominator
+        d = max(0, min(2, d))
+        digits.append(d)
+        res = qr - d
+    return tuple(digits)
 
 
 def seq_uniqueness_verdict(seq: Seq, q) -> UniquenessVerdict:

@@ -331,6 +331,20 @@ def test_kl_terms_flag_controls_family_size():
     assert len(payload["result"]["family"]["terms"]) == 5
 
 
+def test_size_inputs_past_their_caps_exit_1(monkeypatch):
+    from gasket_spectrum.config import MAX_KL_TERMS
+    from gasket_spectrum.expansions import MAX_EXPAND_DEPTH
+    depth = str(MAX_EXPAND_DEPTH + 1)
+    code, text = run_cli(["expand", "--q", "2.6", "--x", "0.335", "--depth", depth])
+    assert code == 1 and f"error: depth {depth} exceeds cap {MAX_EXPAND_DEPTH}" in text
+    terms = str(MAX_KL_TERMS + 1)
+    code, payload = run_json(["dq", "--q", "kl", "--kl-terms", terms])
+    assert code == 1 and payload["result"] == {"error": f"kl_terms {terms} exceeds cap {MAX_KL_TERMS}"}
+    monkeypatch.setenv("GS_KL_TERMS", terms)
+    code, text = run_cli(["dq", "--q", "kl"])
+    assert code == 1 and f"exceeds cap {MAX_KL_TERMS}" in text
+
+
 def test_selftest_passes_and_detects_fault(monkeypatch):
     code, payload = run_json(["selftest"])
     assert code == 0

@@ -25,6 +25,7 @@ from gasket_spectrum.words import Seq, reflect, tm_block
 
 from helpers import (
     band_midpoint,
+    fraction_alpha,
     lex_largest_prefix_bruteforce,
     partial_sum,
     residual_unique,
@@ -131,8 +132,18 @@ def test_alpha_sums_to_one():
 
 def test_alpha_at_kl_is_shifted_difference_sequence():
     from gasket_spectrum.words import tm_diff
-    alpha = quasi_greedy_alpha(bases.kl_constant(), 32)
-    assert alpha == tuple(tm_diff(i) + 1 for i in range(1, 33))
+    for depth in (1, 32, 1000, 4097):  # 1000 and 4097 cross block boundaries
+        alpha = quasi_greedy_alpha(bases.kl_constant(), depth)
+        assert alpha == tuple(tm_diff(i) + 1 for i in range(1, depth + 1))
+
+
+def test_alpha_integer_recursion_matches_fraction_reference():
+    rng = random.Random(1960)
+    qs = [Fraction(rng.randint(2001, 2999), 1000) for _ in range(25)]
+    qs += [Fraction(rng.randint(2 * 10 ** 9 + 1, 3 * 10 ** 9 - 1), 10 ** 9) for _ in range(25)]
+    qs.append(bases.kl_constant().hi + Fraction(1, 10 ** 20))
+    for q in qs:
+        assert quasi_greedy_alpha(q, 300) == fraction_alpha(q, 300), q
 
 
 def test_alpha_increasing_in_q():
@@ -151,8 +162,9 @@ def test_alpha_enclosure_gives_certified_digits_then_raises():
     assert 0 < agree < 64
     provider = expansions.alpha_digits(b)
     assert provider.word(agree) == lo[:agree]
-    with pytest.raises(PrecisionError):
-        provider.digit(agree + 1)
+    assert provider.prefix(64) == bytes(lo[:agree])
+    with pytest.raises(PrecisionError, match=f"alpha digit {agree + 1} is not determined"):
+        provider.word(agree + 1)
 
 
 def test_uniqueness_at_tagged_ladder_point():
@@ -244,7 +256,7 @@ def _verdict_or_error(verdict_fn, seq, q):
 
 
 def test_uniqueness_matches_seq_oracle():
-    # Index reads on one digit tuple against a canonical Seq per position:
+    # Byte slices against a window of alpha, and a canonical Seq per position:
     # same verdict, failing index and clause, or the same error and message.
     rng = random.Random(31)
     corpus = [Seq(tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 4))),
@@ -257,6 +269,7 @@ def test_uniqueness_matches_seq_oracle():
     roots = [bases.base_root(n) for n in (2, 3, 5, 8)]
     qs = [Fraction(21, 10), Fraction(49, 20), Fraction(5, 2), Fraction(2561, 1000),
           Fraction(27, 10), Fraction(2999, 1000), *roots, kl,
+          *(kl.hi + Fraction(1, 10 ** e) for e in (6, 20, 60)),
           bases.BaseValue(kl.lo, kl.hi), bases.BaseValue(roots[1].lo, roots[1].hi)]
     outcomes = []
     for q in qs:
