@@ -5,7 +5,7 @@ by exact residual-interval feasibility and by a per-position Seq comparison,
 the quasi-greedy digits of 1 by a Fraction recursion,
 sequence values by direct partial summation, roots by plain float bisection
 on the literal polynomial or by a bisection that certifies every sign it
-takes, shifted pairings by a digit-by-digit scan, and
+takes, shifted pairings and bump witnesses by digit-by-digit scans, and
 SVG/PPM files by formatting and painting point by point.
 """
 
@@ -15,7 +15,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
-from gasket_spectrum import bases
+from gasket_spectrum import bases, matching
 from gasket_spectrum.errors import DomainError, PrecisionError
 from gasket_spectrum.expansions import (
     ALPHA_HORIZON,
@@ -204,6 +204,69 @@ def scan_pair(x: Word, y: Word, i: int) -> tuple[bool, bool]:
             if not matched:
                 break
     return matched, haszero
+
+
+def scalar_bump_witnesses(n: int, variant: str = "minus") -> matching.VerifierReport:
+    """The bump check "3.2" by one digit comparison per position per shift:
+    the reference report that matching.verify_bump_witnesses must reproduce
+    byte for byte. The words come through the matching module, so a test
+    that patches them there patches both."""
+    if n < 3:
+        raise DomainError("the bump check needs scale >= 3")
+    x = matching.block_word(n)
+    y = matching._bump_word(n, variant)
+    lx, ly = len(x), len(y)
+    skip = 2 ** (n + 1)
+    witnesses = []
+    counterexamples = []
+    for i in range(1, 2 ** (n + 1)):
+        found = None
+        for u in range(1, 2 ** (n + 2)):
+            if u == skip:
+                continue
+            a = x[(u - 1 + i) % lx]
+            b = y[(u - 1) % ly]
+            if a == b and a != 0:
+                found = {"i": i, "u": u, "term": [a, b]}
+                break
+        if found is None:
+            counterexamples.append({"i": i, "reason": "no witness position"})
+        else:
+            witnesses.append(found)
+    # Half-period shift: the position right after the skipped index pairs the
+    # reflected block against itself, so its first term must be (-1,-1).
+    i = 2 ** n
+    u = skip + 1
+    a = x[(u - 1 + i) % lx]
+    b = y[(u - 1) % ly]
+    if (a, b) != (-1, -1):
+        counterexamples.append(
+            {"i": i, "u": u, "term": [a, b], "reason": "half-shift witness wrong"}
+        )
+    return matching.VerifierReport(
+        check="3.2",
+        params={"n": n, "variant": variant},
+        passed=not counterexamples,
+        witnesses=witnesses,
+        counterexamples=counterexamples,
+        stats={"shifts_checked": 2 ** (n + 1) - 1},
+    )
+
+
+def first_witnesses_scan(x: Word, y: Word, skip: int) -> list:
+    """(u, d) of the first position 0 < u < len(y), u != skip, with
+    x[(u-1+i) % len(x)] == y[u-1] == d != 0, or None, for every shift i."""
+    lx, ly = len(x), len(y)
+    out = []
+    for i in range(lx):
+        found = None
+        for u in range(1, ly):
+            a, b = x[(u - 1 + i) % lx], y[u - 1]
+            if u != skip and a == b and a != 0:
+                found = (u, a)
+                break
+        out.append(found)
+    return out
 
 
 def digit_points(q: float, choices, translate=(0.0, 0.0)) -> tuple:

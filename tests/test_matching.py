@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from gasket_spectrum import matching
 from gasket_spectrum.errors import DomainError
 from gasket_spectrum.matching import (
     OMEGA2,
+    _first_witnesses,
     _scan_shifts,
     analyze,
     b_blocks,
@@ -24,7 +29,7 @@ from gasket_spectrum.matching import (
 from gasket_spectrum.spectrum import zero_fraction
 from gasket_spectrum.words import Seq, dec_last, inc_last, reflect, tm_block
 
-from helpers import scan_pair
+from helpers import first_witnesses_scan, scalar_bump_witnesses, scan_pair
 
 
 def test_pair_alphabet_is_difference_set():
@@ -125,6 +130,129 @@ def test_bitset_scan_matches_scalar_oracle():
         y = tuple(rng.choice((-1, 0, 1)) for _ in range(len(x) * rng.randint(1, 4)))
         _assert_scan_matches_oracle(x, y)
 
+
+def _sparse_block_word(n: int) -> tuple:
+    # Most digits zeroed and w[half] = w[0] = 1: odd shifts meet zero pairs,
+    # sparse even shifts are matched, the half shift pairs (1,1) at 0.
+    rng = random.Random(41)
+    w = [d if rng.random() < 0.15 else 0 for d in block_word(n)]
+    w[0] = w[2 ** n] = 1
+    return tuple(w)
+
+
+def _two_ones_word(n: int) -> tuple:
+    # Only w[0] = w[half] = 1: every shift fails.
+    w = [0] * 2 ** (n + 1)
+    w[0] = w[2 ** n] = 1
+    return tuple(w)
+
+
+def _no_zero_word(n: int) -> tuple:
+    # +1 then -1 halves: matched at the half shift but with no zero pair.
+    return (1,) * 2 ** n + (-1,) * 2 ** n
+
+
+@pytest.mark.parametrize("word, kinds", [
+    (_sparse_block_word, {"matched-with-zero-pair", "no-zero-pair", "unmatched"}),
+    (_two_ones_word, {"matched-with-zero-pair", "no-zero-pair", "unmatched"}),
+    (_no_zero_word, {"matched-with-zero-pair"}),
+])
+def test_trichotomy_counterexamples_match_scalar_scan(monkeypatch, word, kinds):
+    n = 5
+    half = 2 ** n
+    w = word(n)
+    monkeypatch.setattr(matching, "block_word", lambda _n: w)
+    expected = []
+    for i in range(1, 2 ** (n + 1)):
+        matched, haszero = scan_pair(w, w, i)
+        if i == half:
+            label, ok = "matched-with-zero-pair", matched and haszero
+        elif i % 2:
+            label, ok = "no-zero-pair", not haszero
+        else:
+            label, ok = "unmatched", not matched
+        if not ok:
+            expected.append({"i": i, "expected": label, "matched": matched,
+                             "has_zero_pair": haszero})
+    rep = verify_shift_trichotomy(n)
+    assert not rep.passed
+    assert rep.counterexamples == expected
+    assert {c["expected"] for c in expected} == kinds
+
+
+def _report_json(rep) -> str:
+    return json.dumps(rep.to_json_dict(), sort_keys=True, default=str)
+
+
+@pytest.mark.parametrize("variant", ["minus", "plain"])
+def test_bump_reports_match_scalar_reference(variant):
+    for n in range(3, 14):
+        assert _report_json(verify_bump_witnesses(n, variant)) == \
+            _report_json(scalar_bump_witnesses(n, variant))
+
+
+@pytest.mark.parametrize("head", [8, matching.HEAD, 1 << 20])
+def test_first_witnesses_match_scalar_oracle(monkeypatch, head):
+    # HEAD only splits the work between the two phases; the answer is the same
+    monkeypatch.setattr(matching, "HEAD", head)
+    rng = random.Random(53)
+    misses = 0
+    for _ in range(60):
+        lx = rng.randint(1, 150)
+        zero = rng.choice((0.3, 0.8, 0.97))
+        x, y = (tuple(0 if rng.random() < zero else rng.choice((-1, 1)) for _ in range(k))
+                for k in (lx, 2 * lx))
+        skip = rng.randint(1, 2 * lx - 1) if lx > 1 else 1
+        got = _first_witnesses(x, y, skip)
+        assert got == first_witnesses_scan(x, y, skip)
+        misses += got.count(None)
+    assert misses > 0
+
+
+@pytest.mark.parametrize("skip", [10, 150])
+def test_first_witnesses_ignore_a_hit_at_skip(skip):
+    # x has one +1; y has +1 at skip, at 40 and at its last position. The shift
+    # that aligns x's +1 with skip has no other hit, so it has no witness.
+    lx = 100
+    x = (1,) + (0,) * (lx - 1)
+    y = [0] * (2 * lx)
+    y[skip - 1] = y[39] = y[-1] = 1
+    got = _first_witnesses(x, tuple(y), skip)
+    assert got == first_witnesses_scan(x, tuple(y), skip)
+    assert got[-(skip - 1) % lx] is None
+    assert got[-39 % lx] == (40, 1)
+
+
+def test_bump_no_witness_counterexamples_match_scalar_reference(monkeypatch):
+    # Zeroing the bump word past its first quarter leaves shifts without a
+    # witness, and moves the half-shift term off (-1,-1).
+    real = matching._bump_word
+
+    def sparse(n, variant):
+        y = real(n, variant)
+        return y[: len(y) // 4] + (0,) * (len(y) - len(y) // 4)
+    monkeypatch.setattr(matching, "_bump_word", sparse)
+    for n in (3, 6, 9):
+        rep = verify_bump_witnesses(n, "minus")
+        assert _report_json(rep) == _report_json(scalar_bump_witnesses(n, "minus"))
+        reasons = {c["reason"] for c in rep.counterexamples}
+        assert reasons == {"no witness position", "half-shift witness wrong"}
+        assert rep.witnesses
+
+
+def test_verify_reports_match_bench_pins():
+    # The benchmark pins the digest of every verify report it runs; a byte
+    # change in one fails here too. Keys read "<check> <args...>".
+    pins = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json")
+                      .read_text())["verify"]
+    assert len(pins) == 11
+    fns = {"3.1": verify_shift_trichotomy, "3.2": verify_bump_witnesses,
+           "3.4": verify_cross_scale}
+    for key, digest in pins.items():
+        check, *args = key.split()
+        rep = fns[check](*(int(a) if a.isdigit() else a for a in args))
+        text = json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, key
 
 
 def test_bump_witnesses_minus_variant():
