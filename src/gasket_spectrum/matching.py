@@ -9,7 +9,7 @@ The shift trichotomy ("3.1") and the cross-scale check ("3.4") decide every
 shift with bitset scans: each word becomes three Python ints marking its +1,
 -1 and 0 positions, and a shift is a rotation followed by an AND. "3.1"
 computes for each shift only the outcome its verdict rests on, and the other
-one only for a counterexample.
+one only for a counterexample; "3.4" needs only the match outside n = m.
 
 The bump check ("3.2") reports the first witness position of every shift.
 It searches in two phases. The head tests positions 1..HEAD for all shifts
@@ -24,7 +24,7 @@ by the CLI and JSON reports.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -152,28 +152,27 @@ def _fold(mask: int, width: int) -> int:
     return folded
 
 
-def _shift_masks(x: Word, y: Word) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """The +1, -1 and 0 masks of x, doubled, and of y, folded to len(x) bits.
+def _shift_tests(x: Word, y: Word) -> tuple[Callable[[int], bool], Callable[[int], bool]]:
+    """matched(i) and has_zero_pair(i) of (shift-by-i of x^inf, y^inf) over
+    one lcm period, for 0 <= i < len(x); len(y) must be a multiple of len(x).
 
-    len(y) must be a multiple of len(x). Pairing the shift-by-i of x^inf with
-    y^inf puts x[(u+i) % lx] against y[u], and only u % lx decides the x digit,
-    so y's masks are folded to lx bits once; x's masks are doubled so that a
-    right shift by i < lx rotates them.
+    Pairing the shift-by-i of x^inf with y^inf puts x[(u+i) % lx] against
+    y[u], and only u % lx decides the x digit, so y's masks are folded to lx
+    bits once; x's masks are doubled so that a right shift by i < lx rotates
+    them.
     """
     lx = len(x)
     mx = _masks(x)
-    xs = tuple((m << lx) | m for m in mx)
-    ys = tuple(_fold(m, lx) for m in (mx if y is x else _masks(y)))
-    return xs, ys
+    xp, xm, xz = ((m << lx) | m for m in mx)
+    yp, ym, yz = (_fold(m, lx) for m in (mx if y is x else _masks(y)))
 
+    def matched(i: int) -> bool:
+        return not ((xp >> i) & yp or (xm >> i) & ym)
 
-def _scan_shifts(x: Word, y: Word, shifts) -> Iterator[tuple[int, bool, bool]]:
-    """(i, matched, has_zero_pair) of (shift-by-i of x^inf, y^inf) over one
-    lcm period, for each 0 <= i < len(x) in shifts; len(y) must be a multiple
-    of len(x)."""
-    (xp, xm, xz), (yp, ym, yz) = _shift_masks(x, y)
-    for i in shifts:
-        yield i, not ((xp >> i) & yp or (xm >> i) & ym), bool((xz >> i) & yz)
+    def has_zero_pair(i: int) -> bool:
+        return bool((xz >> i) & yz)
+
+    return matched, has_zero_pair
 
 
 def verify_shift_trichotomy(n: int) -> VerifierReport:
@@ -188,14 +187,7 @@ def verify_shift_trichotomy(n: int) -> VerifierReport:
         raise DomainError("scale must be >= 1")
     x = block_word(n)
     lx, half = len(x), 2 ** n
-    (xp, xm, xz), (yp, ym, yz) = _shift_masks(x, x)
-
-    def matched(i: int) -> bool:
-        return not ((xp >> i) & yp or (xm >> i) & ym)
-
-    def has_zero_pair(i: int) -> bool:
-        return bool((xz >> i) & yz)
-
+    matched, has_zero_pair = _shift_tests(x, x)
     failing = [i for i in range(1, lx, 2) if has_zero_pair(i)]
     failing += [i for i in range(2, lx, 2) if i != half and matched(i)]
     if not (matched(half) and has_zero_pair(half)):
@@ -247,16 +239,7 @@ HEAD = 64
 
 
 def _set_bits(mask: int) -> list[int]:
-    """The indices of the set bits of mask. A short mask sheds its lowest bit
-    at a time; a long one is read as a binary string instead, because each
-    shed would copy the whole mask."""
-    if mask.bit_length() <= 1024:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+    """The indices of the set bits of mask, read from its binary string."""
     bits = bin(mask)  # "0b", then bit top down to bit 0
     top = len(bits) - 1
     out = []
@@ -365,15 +348,17 @@ def verify_cross_scale(n: int, m: int) -> VerifierReport:
     y = block_word(m)
     witnesses = []
     counterexamples = []
+    matched, has_zero_pair = _shift_tests(x, y)
     if n == m:
-        _, matched, haszero = next(_scan_shifts(x, y, (2 ** n,)))
-        if matched and haszero:
-            witnesses.append({"i": 2 ** n, "matched": True, "zero_pair": True})
+        half = 2 ** n
+        if matched(half) and has_zero_pair(half):
+            witnesses.append({"i": half, "matched": True, "zero_pair": True})
         else:
-            counterexamples.append({"i": 2 ** n, "matched": matched, "zero_pair": haszero})
+            counterexamples.append(
+                {"i": half, "matched": matched(half), "zero_pair": has_zero_pair(half)})
     else:
-        for i, matched, _ in _scan_shifts(x, y, range(1, 2 ** (n + 1))):
-            if matched:
+        for i in range(1, 2 ** (n + 1)):
+            if matched(i):
                 counterexamples.append({"i": i, "reason": "unexpectedly matched"})
     return VerifierReport(
         check="3.4",

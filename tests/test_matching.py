@@ -16,7 +16,7 @@ from gasket_spectrum.errors import DomainError
 from gasket_spectrum.matching import (
     OMEGA2,
     _first_witnesses,
-    _scan_shifts,
+    _shift_tests,
     analyze,
     b_blocks,
     block_word,
@@ -115,7 +115,8 @@ def test_trichotomy_larger_scale():
 def _assert_scan_matches_oracle(x, y):
     shifts = range(len(x))
     expected = [(i, *scan_pair(x, y, i)) for i in shifts]
-    assert list(_scan_shifts(x, y, shifts)) == expected
+    matched, has_zero_pair = _shift_tests(x, y)
+    assert [(i, matched(i), has_zero_pair(i)) for i in shifts] == expected
 
 
 def test_bitset_scan_matches_scalar_oracle():
