@@ -1,8 +1,16 @@
 """Expansions of reals over {-1, 0, 1} in a base q in (2, 3).
 
 Everything here is exact: sequence values are Fractions, the quasi-greedy
-digits of 1 are produced by an integer recursion, and the unique-expansion
+digits of 1 and the greedy digits of a rational are produced by one
+recursion on a certified fixed-point residual, and the unique-expansion
 decision is a finite lexicographic check.
+
+The recursion holds the residual as an integer R over 2^P with an error
+bound e over 2^P, and takes a digit only when both ends of that interval
+give the same one. A digit that straddles restarts the run with twice the
+bits; past the exact residual's size the run is exact on two integers. So
+n digits take n steps on integers of about 2n bits, where an exact residual's
+denominator grows by q's at every digit.
 
 The uniqueness criterion: shift the candidate digits up by one so they live
 in {0, 1, 2} and let alpha(q) be the quasi-greedy expansion of 1 in base q
@@ -44,18 +52,35 @@ _REFLECT = bytes.maketrans(b"\x00\x01\x02", b"\x02\x01\x00")  # d -> 2 - d
 
 
 def evaluate_exact(seq: Seq, q: Fraction) -> Fraction:
-    """Exact value sum_i s_i q^-i of an eventually periodic sequence."""
-    v = Fraction(0)
-    scale = Fraction(1)
-    for d in seq.preperiod:
-        scale /= q
-        v += d * scale
-    pv = Fraction(0)
-    ps = Fraction(1)
-    for d in seq.period:
-        ps /= q
-        pv += d * ps
-    return v + scale * pv / (1 - ps)
+    """Exact value sum_i s_i q^-i of an eventually periodic sequence.
+
+    With q = a/b, a word w of length L is worth W / a^L (see word_value), and
+    the period, repeated, divides its integer by a^m - b^m instead; only the
+    final Fraction pays for a gcd.
+    """
+    a, b = q.numerator, q.denominator
+    pre, a_pre, b_pre = _word_integer(seq.preperiod, a, b)
+    per, a_per, b_per = _word_integer(seq.period, a, b)
+    cycle = a_per - b_per
+    return Fraction(pre * cycle + b_pre * per, a_pre * cycle)
+
+
+def word_value(word: Word, q: Fraction) -> tuple[int, int]:
+    """sum_i w_i q^-i of a finite word as an unreduced (numerator, denominator),
+    W = sum_i w_i b^i a^(L-i) over a^L for q = a/b. Their true quotient rounds
+    exactly as float() of the reduced Fraction does, without its gcd."""
+    w, a_len, _ = _word_integer(word, q.numerator, q.denominator)
+    return w, a_len
+
+
+def _word_integer(word: Word, a: int, b: int) -> tuple[int, int, int]:
+    """(W, a^L, b^L), joining halves as W(uv) = W(u) a^|v| + b^|u| W(v), so
+    a long word multiplies balanced integers instead of one digit at a time."""
+    if len(word) < 2:
+        return (word[0] * b, a, b) if word else (0, 1, 1)
+    u, au, bu = _word_integer(word[:len(word) // 2], a, b)
+    v, av, bv = _word_integer(word[len(word) // 2:], a, b)
+    return u * av + bu * v, au * av, bu * bv
 
 
 def evaluate(seq: Seq, q) -> float:
@@ -74,6 +99,9 @@ def greedy_expand(x, q, depth: int) -> Word:
     At each step the residual t satisfies x = partial + q^-k t; the next digit
     is the largest d with q t - d still representable, d = min(1, floor(q t + 1/(q-1))).
     The truncation deficit obeys |x - partial| <= q^-depth / (q - 1).
+
+    Shifted by 1/(q-1), the residual u = t + 1/(q-1) runs the greedy recursion
+    over {0, 1, 2}: d + 1 = min(2, floor(q u)) and u becomes q u - (d + 1).
     """
     qf = require_working_base(as_base_value(q)).midpoint
     t = x if isinstance(x, Fraction) else Fraction(x)
@@ -84,13 +112,63 @@ def greedy_expand(x, q, depth: int) -> Word:
         raise DomainError("depth must be nonnegative")
     if depth > MAX_EXPAND_DEPTH:
         raise ResourceLimitError(f"depth {depth} exceeds cap {MAX_EXPAND_DEPTH}")
-    digits = []
-    for _ in range(depth):
-        shifted = qf * t + bound
-        d = min(1, shifted.numerator // shifted.denominator)
+    return tuple(d - 1 for d in _digit_run(qf, t + bound, depth, bits=2 * depth + 64))
+
+
+def _digit_run(q: Fraction, u: Fraction | int, n: int, bits: int) -> bytes:
+    """The first n digits over {0, 1, 2} of the greedy recursion at a working
+    base 2 < q < 3: digit max(0, min(2, floor(q u))), then u -> q u - digit.
+
+    From u = 1 these are the quasi-greedy digits of 1, whose rule
+    ceil(q u) - 1 differs from floor only where q u is an integer; at a
+    rational q that is not one, q u never is, for q would then be a root of a
+    monic integer polynomial.
+
+    The digit is monotone in q u, so it is certified once both ends of an
+    enclosure of q u give it. A fixed-point run at `bits` bits (callers start
+    at 2n + 64, as its error bound grows by under 1.6 bits a digit) that stops
+    short at a straddling digit is restarted with twice the bits. Once that
+    would reach the exact residual's size, the run is exact on two integers
+    instead (no gcd per step), so no input costs more than a few times the
+    exact recursion. Only a q u that is an integer straddles at every
+    precision, and only the greedy expansion of a rational x can reach one.
+    """
+    a, b = q.numerator, q.denominator
+    while bits < u.denominator.bit_length() + n * b.bit_length():
+        digits = _fixed_point_digits(a, b, u, n, bits)
+        if len(digits) == n:
+            return digits
+        bits *= 2
+    r, den, digits = u.numerator, u.denominator, bytearray()
+    for _ in range(n):
+        r, den = a * r, b * den  # q times the residual
+        d = max(0, min(2, r // den))
         digits.append(d)
-        t = qf * t - d
-    return tuple(digits)
+        r -= d * den
+    return bytes(digits)
+
+
+def _fixed_point_digits(a: int, b: int, u: Fraction | int, n: int, bits: int) -> bytes:
+    """The digits of _digit_run at q = a/b up to the first that P = bits
+    cannot certify.
+
+    The residual is R / 2^P with error e / 2^P. One step sets T = a R // b,
+    which is within ceil(a e / b) + 1 of 2^P q u; as q < 3 that is at most
+    e' = 3 e + 1, a bound that costs no division (e grows by log2 3 < 1.6 bits
+    a digit). The digit is taken only when T - e' and T + e' give the same
+    one: their raw digits lo <= hi agree, or both clamp to 0 (hi <= 0) or to
+    2 (lo >= 2).
+    """
+    r, e, digits = (u.numerator << bits) // u.denominator, 1, bytearray()
+    for _ in range(n):
+        t, e = a * r // b, 3 * e + 1
+        lo, hi = (t - e) >> bits, (t + e) >> bits
+        if lo != hi and hi > 0 and lo < 2:
+            break
+        d = 0 if lo < 0 else 2 if lo > 2 else lo
+        digits.append(d)
+        r = t - (d << bits)
+    return bytes(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +180,11 @@ class AlphaDigits:
 
     One backing per kind of base: the period, repeated, for a tagged ladder
     root; the difference block shifted by one for the Komornik-Loreti tag; for
-    a rational point, the recursion up to the horizon cap on two integers (no
-    gcd per step); for an untagged enclosure, the common prefix of its ends.
+    a rational point, the recursion up to the horizon cap on a certified
+    fixed-point residual (see _digit_run: a digit is taken only when both ends
+    of the residual's error interval give it, and one that straddles restarts
+    the run with twice the bits); for an untagged enclosure, the common prefix
+    of its ends.
     """
 
     def __init__(self, base: BaseValue):
@@ -145,19 +226,11 @@ class AlphaDigits:
 
 
 def _recursion(q: Fraction):
-    """The quasi-greedy recursion at q, run on to min(n, ALPHA_HORIZON) digits."""
-    a, b = q.numerator, q.denominator
-    r = den = 1  # the residual is r / den, two integers, so no step pays for a gcd
-
+    """The quasi-greedy recursion at q, rerun to min(n, ALPHA_HORIZON) digits
+    whenever more are asked for."""
     def grow(digits: bytes, n: int) -> bytes:
-        nonlocal r, den
-        new = bytearray()
-        for _ in range(len(digits), min(n, ALPHA_HORIZON)):
-            r, den = a * r, b * den  # q times the residual
-            d = max(0, min(2, (r - 1) // den))  # ceil(q * residual) - 1
-            new.append(d)
-            r -= d * den
-        return digits + new
+        n = min(n, ALPHA_HORIZON)
+        return digits if n <= len(digits) else _digit_run(q, 1, n, bits=2 * n + 64)
 
     return grow
 

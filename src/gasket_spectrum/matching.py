@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .words import Seq, Word, dec_last, inc_last, reflect, tm_block
 
 OMEGA1 = ((0, 0), (0, 1), (1, 0))
@@ -130,6 +130,18 @@ class VerifierReport:
         }
 
 
+# The largest scale each check accepts. One more and, on a 2-vCPU host with
+# Python 3.11, 3.1 and 3.4 take over ~10 s (3.1 at 17 takes ~7 s, about 3x
+# per scale; 3.4 at 18 ~5 s) and the 3.2 report holds over ~200 MB of
+# witnesses (~120 MB at 15, twice that per scale).
+MAX_SCALE = {"3.1": 17, "3.2": 15, "3.4": 18}
+
+
+def _require_scale(check: str, scale: int) -> None:
+    if scale > MAX_SCALE[check]:
+        raise ResourceLimitError(f"check {check} at scale {scale} exceeds its cap {MAX_SCALE[check]}")
+
+
 # bytes.translate tables for the +1, -1 and 0 masks: the code d + 1 of a
 # ternary digit d becomes b"1" where d is the mask's digit, b"0" elsewhere
 _BIT_TABLES = tuple(bytes.maketrans(b"\x00\x01\x02", to) for to in (b"001", b"100", b"010"))
@@ -185,6 +197,7 @@ def verify_shift_trichotomy(n: int) -> VerifierReport:
     are reported for the shifts that fail."""
     if n < 1:
         raise DomainError("scale must be >= 1")
+    _require_scale("3.1", n)
     x = block_word(n)
     lx, half = len(x), 2 ** n
     matched, has_zero_pair = _shift_tests(x, x)
@@ -312,6 +325,7 @@ def verify_bump_witnesses(n: int, variant: str = "minus") -> VerifierReport:
     witness sits at position 2^(n+1)+1 with term (-1,-1)."""
     if n < 3:
         raise DomainError("the bump check needs scale >= 3")
+    _require_scale("3.2", n)
     x = block_word(n)
     y = _bump_word(n, variant)
     lx, ly = len(x), len(y)
@@ -344,6 +358,7 @@ def verify_cross_scale(n: int, m: int) -> VerifierReport:
     shift; for m = n the half-period shift is matched with zero pairs."""
     if not 1 <= n <= m:
         raise DomainError("need 1 <= n <= m")
+    _require_scale("3.4", m)
     x = block_word(n)
     y = block_word(m)
     witnesses = []

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's own code paths: uniqueness is decided
 by exact residual-interval feasibility and by a per-position Seq comparison,
-the quasi-greedy digits of 1 by a Fraction recursion,
+the quasi-greedy digits of 1 and greedy digits by Fraction recursions,
 sequence values by direct partial summation, roots by plain float bisection
 on the literal polynomial or by a bisection that certifies every sign it
 takes, shifted pairings and bump witnesses by digit-by-digit scans, and
@@ -92,7 +92,7 @@ def _compare_seq_with_alpha(tail: Seq, alpha: AlphaDigits) -> int:
 
 def fraction_alpha(q: Fraction, depth: int) -> Word:
     """Quasi-greedy digits of 1 by the Fraction recursion: the reference for
-    the library's integer one."""
+    the library's certified fixed-point one."""
     res = Fraction(1)
     digits = []
     for _ in range(depth):
@@ -102,6 +102,20 @@ def fraction_alpha(q: Fraction, depth: int) -> Word:
         d = max(0, min(2, d))
         digits.append(d)
         res = qr - d
+    return tuple(digits)
+
+
+def fraction_greedy_expand(x: Fraction, q: Fraction, depth: int) -> Word:
+    """Greedy digits over {-1, 0, 1} by the Fraction loop: the reference for
+    the library's certified fixed-point one."""
+    bound = 1 / (q - 1)
+    t = x
+    digits = []
+    for _ in range(depth):
+        shifted = q * t + bound
+        d = min(1, shifted.numerator // shifted.denominator)
+        digits.append(d)
+        t = q * t - d
     return tuple(digits)
 
 

@@ -6,19 +6,21 @@ import ast
 import dataclasses
 import io
 import json
+import math
 import os
 
 from fractions import Fraction
 
 import pytest
 
-from gasket_spectrum import geometry, matching, selftest, words
+from gasket_spectrum import bases, geometry, matching, selftest, words
 from gasket_spectrum.bases import as_base_value
 from gasket_spectrum.cli import build_parser, run
 from gasket_spectrum.config import DEFAULT_CONFIG, ENV_KEYS, RunConfig, load_config
 from gasket_spectrum.errors import DomainError
+from gasket_spectrum.report import decimal_str
 
-from helpers import reference_emit_ppm, reference_emit_svg
+from helpers import reference_emit_ppm, reference_emit_svg, seq_value
 
 
 def run_cli(argv):
@@ -48,6 +50,16 @@ def test_dq_interval_json():
     assert interval["containment_only"] is True
     assert interval["lo"] < interval["hi"]
     assert payload["result"]["provenance"]["sft_n"] == interval["sft_n"]
+
+
+def test_dq_just_above_kl_json():
+    # KL + 1e-150 lies between the scale-7 and scale-5 thresholds (p_7 - KL ~
+    # 1e-259, p_5 - KL ~ 1e-65); alpha there reads a long prefix of KL's digits.
+    kl = bases.kl_constant(1e-200).hi
+    q = Fraction(int(kl * 10 ** 170) + 10 ** 20, 10 ** 170)  # a 170-place decimal
+    code, payload = run_json(["dq", "--q", decimal_str(q, 170)])
+    assert code == 0
+    assert payload["result"]["provenance"]["sft_n"] == 7
 
 
 def test_verify_pass_report():
@@ -111,6 +123,21 @@ def test_expand_and_unique_commands():
     assert payload["result"]["verdict"]["failing_index"] == 2
     code, payload = run_json(["unique", "--q", "2.55", "--seq", "+0-0^inf"])
     assert payload["result"]["verdict"]["unique"] is True
+
+
+def test_expand_values_match_fraction_reference():
+    # partial_value and deficit are floats of the exact rationals, the sign of
+    # a deficit that underflows to zero included
+    for q, x, depth in (("2.6", "0.335", 40), ("2.6", "0.335", 0), ("2.5", "0.3", 900),
+                        ("2.5", "-1/7", 900), ("2.71", "1e-30", 300)):
+        code, payload = run_json(["expand", "--q", q, f"--x={x}", "--depth", str(depth)])
+        assert code == 0
+        result = payload["result"]
+        partial = seq_value(words.Seq(tuple(result["digit_list"]), (0,)), Fraction(q))
+        assert result["partial_value"] == float(partial)
+        deficit = float(Fraction(x) - partial)
+        assert (result["deficit"], math.copysign(1, result["deficit"])) == \
+            (deficit, math.copysign(1, deficit)), (q, x, depth)
 
 
 def test_density_command_forms():
@@ -270,6 +297,18 @@ def test_max_n_guards_cross_scale_m():
     assert code == 1 and "scale 12" in text
     code, _ = run_cli(["verify", "--lemma", "3.4", "--n", "2", "--m", "8", "--max-n", "10"])
     assert code == 0
+
+
+def test_verify_scale_caps_refuse_before_scanning(monkeypatch):
+    def no_scan(n):
+        raise AssertionError("a block word was built past the scale cap")
+
+    monkeypatch.setattr(matching, "block_word", no_scan)
+    for check, cap in matching.MAX_SCALE.items():
+        scale = ["--n", "1", "--m", str(cap + 1)] if check == "3.4" else ["--n", str(cap + 1)]
+        code, text = run_cli(["verify", "--lemma", check, *scale])
+        assert code == 1
+        assert f"error: check {check} at scale {cap + 1} exceeds its cap {cap}" in text
 
 
 def test_max_n_cannot_raise_block_cap():

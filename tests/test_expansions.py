@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from gasket_spectrum.words import Seq, reflect, tm_block
 from helpers import (
     band_midpoint,
     fraction_alpha,
+    fraction_greedy_expand,
     lex_largest_prefix_bruteforce,
     partial_sum,
     residual_unique,
@@ -137,13 +140,70 @@ def test_alpha_at_kl_is_shifted_difference_sequence():
         assert alpha == tuple(tm_diff(i) + 1 for i in range(1, depth + 1))
 
 
+LONG_DECIMAL = "2.5359123456789012345678901234567890123453552"
+
+
+def _near_kl(k: int) -> Fraction:
+    return bases.kl_constant().hi + Fraction(1, 10 ** k)
+
+
 def test_alpha_integer_recursion_matches_fraction_reference():
     rng = random.Random(1960)
     qs = [Fraction(rng.randint(2001, 2999), 1000) for _ in range(25)]
     qs += [Fraction(rng.randint(2 * 10 ** 9 + 1, 3 * 10 ** 9 - 1), 10 ** 9) for _ in range(25)]
-    qs.append(bases.kl_constant().hi + Fraction(1, 10 ** 20))
+    qs.append(_near_kl(20))
     for q in qs:
         assert quasi_greedy_alpha(q, 300) == fraction_alpha(q, 300), q
+    # just above KL alpha follows the Thue-Morse digits for a long prefix
+    for q in [_near_kl(k) for k in (6, 40, 150)] + [Fraction(LONG_DECIMAL)]:
+        assert quasi_greedy_alpha(q, 512) == fraction_alpha(q, 512), q
+
+
+def test_fixed_point_run_raises_its_precision():
+    # 8 bits certify only a few digits, so the run restarts with 16, 32, ...
+    # bits until every digit is certified, and still matches the reference.
+    q = _near_kl(40)
+    x = Fraction(-3, 10)
+    for start, n, want in ((1, 512, fraction_alpha(q, 512)),
+                           (x + 1 / (q - 1), 200, [d + 1 for d in fraction_greedy_expand(x, q, 200)])):
+        short = expansions._fixed_point_digits(q.numerator, q.denominator, start, n, 8)
+        assert 0 < len(short) < 16 and short == bytes(want[:len(short)])
+        assert expansions._digit_run(q, start, n, bits=8) == bytes(want)
+
+
+def test_greedy_matches_fraction_reference_at_long_bases():
+    # Large denominators run the fixed-point residual. At x = 1/q - 1/(q-1),
+    # q u is the integer 1, which straddles at every precision and falls back
+    # to the exact run; at x = -1/(q-1), u = 0 and both ends clamp to digit 0.
+    rng = random.Random(2009)
+    qs = [_near_kl(40), Fraction(LONG_DECIMAL), Fraction(rng.randint(2 * 10 ** 9, 3 * 10 ** 9), 10 ** 9)]
+    for q in qs:
+        bound = 1 / (q - 1)
+        xs = [Fraction(3, 10), 1 / q - bound, -bound, bound, Fraction(0)]
+        xs += [Fraction(rng.randint(-10 ** 6, 10 ** 6), 10 ** 6) * bound for _ in range(2)]
+        xs.append(Fraction(rng.uniform(-0.6, 0.6)))  # a float's binary fraction
+        for x in xs:
+            for depth in (0, 1, 160):
+                assert greedy_expand(x, q, depth) == fraction_greedy_expand(x, q, depth), (q, x, depth)
+
+
+def test_long_alpha_prefix_near_kl_is_fast():
+    q = _near_kl(40)
+    started = time.perf_counter()
+    digits = expansions.AlphaDigits(bases.BaseValue(q, q)).prefix(4096)
+    elapsed = time.perf_counter() - started
+    assert len(digits) == 4096
+    assert elapsed < 2.0, f"4096 alpha digits at KL + 1e-40 took {elapsed:.2f}s"
+
+
+def test_deep_expand_command_is_fast():
+    from gasket_spectrum.cli import run
+    out = io.StringIO()
+    started = time.perf_counter()
+    code = run(["expand", "--q", LONG_DECIMAL, "--x=0.3", "--depth", "4096"], out)
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert elapsed < 2.0, f"expand at depth 4096 took {elapsed:.2f}s"
 
 
 def test_alpha_increasing_in_q():
