@@ -18,7 +18,7 @@ from .config import RunConfig, load_config
 from .errors import DomainError, GasketError, PrecisionError, ResourceLimitError
 from .report import Report, decimal_str, fraction_str
 from .selftest import run_selftest
-from .words import format_seq, format_word, parse_seq
+from .words import Seq, format_seq, format_word, parse_seq
 
 CHECK_RUNNERS = {
     "3.1": lambda args: matching.verify_shift_trichotomy(args.n),
@@ -178,12 +178,12 @@ def _cmd_expand(args, config):
     q = _parse_base(args.q, config)
     x = _parse_value(args.x)
     digits = expansions.greedy_expand(x, q, args.depth)
-    num, den = expansions.word_value(digits, q.midpoint)
+    partial = expansions.evaluate_exact(Seq(digits, (0,)), q.midpoint) if digits else Fraction(0)
     result = {
         "digits": format_word(digits),
         "digit_list": list(digits),
-        "partial_value": num / den,
-        "deficit": (x.numerator * den - x.denominator * num) / (x.denominator * den),
+        "partial_value": float(partial),
+        "deficit": float(x - partial),
     }
     return result, [f"  digits: {result['digits']}", f"  deficit: {result['deficit']:.3e}"]
 

@@ -51,26 +51,20 @@ MAX_EXPAND_DEPTH = 4096  # digits greedy_expand produces; each costs more than t
 _REFLECT = bytes.maketrans(b"\x00\x01\x02", b"\x02\x01\x00")  # d -> 2 - d
 
 
-def evaluate_exact(seq: Seq, q: Fraction) -> Fraction:
-    """Exact value sum_i s_i q^-i of an eventually periodic sequence.
+def evaluate_exact(seq: Seq, q) -> Fraction:
+    """Exact value sum_i s_i q^-i of an eventually periodic sequence at a
+    rational q (an int, a Fraction or a float, taken at its exact value).
 
-    With q = a/b, a word w of length L is worth W / a^L (see word_value), and
-    the period, repeated, divides its integer by a^m - b^m instead; only the
-    final Fraction pays for a gcd.
+    With q = a/b, a word w of length L is worth W / a^L with
+    W = sum_i w_i b^i a^(L-i), and the period, repeated, divides its integer
+    by a^m - b^m instead; only the final Fraction pays for a gcd.
     """
+    q = Fraction(q)
     a, b = q.numerator, q.denominator
     pre, a_pre, b_pre = _word_integer(seq.preperiod, a, b)
     per, a_per, b_per = _word_integer(seq.period, a, b)
     cycle = a_per - b_per
     return Fraction(pre * cycle + b_pre * per, a_pre * cycle)
-
-
-def word_value(word: Word, q: Fraction) -> tuple[int, int]:
-    """sum_i w_i q^-i of a finite word as an unreduced (numerator, denominator),
-    W = sum_i w_i b^i a^(L-i) over a^L for q = a/b. Their true quotient rounds
-    exactly as float() of the reduced Fraction does, without its gcd."""
-    w, a_len, _ = _word_integer(word, q.numerator, q.denominator)
-    return w, a_len
 
 
 def _word_integer(word: Word, a: int, b: int) -> tuple[int, int, int]:
@@ -112,10 +106,10 @@ def greedy_expand(x, q, depth: int) -> Word:
         raise DomainError("depth must be nonnegative")
     if depth > MAX_EXPAND_DEPTH:
         raise ResourceLimitError(f"depth {depth} exceeds cap {MAX_EXPAND_DEPTH}")
-    return tuple(d - 1 for d in _digit_run(qf, t + bound, depth, bits=2 * depth + 64))
+    return tuple(d - 1 for d in _digit_run(qf, t + bound, depth))
 
 
-def _digit_run(q: Fraction, u: Fraction | int, n: int, bits: int) -> bytes:
+def _digit_run(q: Fraction, u: Fraction | int, n: int, bits: int | None = None) -> bytes:
     """The first n digits over {0, 1, 2} of the greedy recursion at a working
     base 2 < q < 3: digit max(0, min(2, floor(q u))), then u -> q u - digit.
 
@@ -125,8 +119,8 @@ def _digit_run(q: Fraction, u: Fraction | int, n: int, bits: int) -> bytes:
     monic integer polynomial.
 
     The digit is monotone in q u, so it is certified once both ends of an
-    enclosure of q u give it. A fixed-point run at `bits` bits (callers start
-    at 2n + 64, as its error bound grows by under 1.6 bits a digit) that stops
+    enclosure of q u give it. A fixed-point run at `bits` bits (by default
+    2n + 64, as its error bound grows by under 1.6 bits a digit) that stops
     short at a straddling digit is restarted with twice the bits. Once that
     would reach the exact residual's size, the run is exact on two integers
     instead (no gcd per step), so no input costs more than a few times the
@@ -134,6 +128,7 @@ def _digit_run(q: Fraction, u: Fraction | int, n: int, bits: int) -> bytes:
     precision, and only the greedy expansion of a rational x can reach one.
     """
     a, b = q.numerator, q.denominator
+    bits = 2 * n + 64 if bits is None else bits
     while bits < u.denominator.bit_length() + n * b.bit_length():
         digits = _fixed_point_digits(a, b, u, n, bits)
         if len(digits) == n:
@@ -200,7 +195,8 @@ class AlphaDigits:
             self._grow = lambda _, n: bytes(d + 1 for d in tm_block((n - 1).bit_length()))
         elif base.is_point:
             require_working_base(base)
-            self._grow = _recursion(base.lo)
+            self._grow = lambda digits, n: (digits if len(digits) == ALPHA_HORIZON
+                                            else _digit_run(base.lo, 1, min(n, ALPHA_HORIZON)))
         else:
             require_working_base(base)
             self._ends = [AlphaDigits(BaseValue(x, x)) for x in (base.lo, base.hi)]
@@ -223,16 +219,6 @@ class AlphaDigits:
         if len(digits) < depth:
             raise _uncertified(len(digits) + 1)
         return tuple(digits)
-
-
-def _recursion(q: Fraction):
-    """The quasi-greedy recursion at q, rerun to min(n, ALPHA_HORIZON) digits
-    whenever more are asked for."""
-    def grow(digits: bytes, n: int) -> bytes:
-        n = min(n, ALPHA_HORIZON)
-        return digits if n <= len(digits) else _digit_run(q, 1, n, bits=2 * n + 64)
-
-    return grow
 
 
 def _uncertified(i: int) -> PrecisionError:

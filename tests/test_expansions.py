@@ -64,6 +64,12 @@ def test_evaluate_random_against_summation():
         assert abs(exact - partial_sum(s, q, 200)) < Fraction(1, 10 ** 25)
 
 
+def test_evaluate_exact_takes_any_rational_base():
+    s = Seq((1, -1), (1, 0, -1, 0))
+    assert evaluate_exact(s, 2.5) == evaluate_exact(s, 5 / 2) == evaluate_exact(s, Fraction(5, 2))
+    assert evaluate_exact(s, 3) == evaluate_exact(s, Fraction(3))
+
+
 def test_evaluate_float_wrapper():
     assert evaluate(Seq((), (0,)), "2.5") == 0.0
     with pytest.raises(DomainError):
@@ -164,7 +170,7 @@ def test_fixed_point_run_raises_its_precision():
     # bits until every digit is certified, and still matches the reference.
     q = _near_kl(40)
     x = Fraction(-3, 10)
-    for start, n, want in ((1, 512, fraction_alpha(q, 512)),
+    for start, n, want in ((1, 256, fraction_alpha(q, 256)),
                            (x + 1 / (q - 1), 200, [d + 1 for d in fraction_greedy_expand(x, q, 200)])):
         short = expansions._fixed_point_digits(q.numerator, q.denominator, start, n, 8)
         assert 0 < len(short) < 16 and short == bytes(want[:len(short)])
@@ -204,6 +210,13 @@ def test_deep_expand_command_is_fast():
     elapsed = time.perf_counter() - started
     assert code == 0
     assert elapsed < 2.0, f"expand at depth 4096 took {elapsed:.2f}s"
+
+
+def test_alpha_past_the_horizon_is_not_recomputed(monkeypatch):
+    alpha = expansions.AlphaDigits(bases.BaseValue(Fraction(5, 2), Fraction(5, 2)))
+    assert len(alpha.prefix(expansions.ALPHA_HORIZON + 1)) == expansions.ALPHA_HORIZON
+    monkeypatch.setattr(expansions, "_digit_run", lambda *args: pytest.fail("alpha was recomputed"))
+    assert len(alpha.prefix(expansions.ALPHA_HORIZON + 2)) == expansions.ALPHA_HORIZON
 
 
 def test_alpha_increasing_in_q():
