@@ -39,7 +39,7 @@ from functools import cache
 
 from .errors import AmbiguousClassificationError, DomainError, PrecisionError
 from .report import float_str
-from .words import Word, inc_last, reflect2
+from .words import Word, tm_block
 
 DEFAULT_TOLERANCE = 1e-12  # enclosure width asked of roots and of the limit base
 MAX_LADDER_INDEX = 24  # ladder word 24 has 2^23 digits
@@ -85,14 +85,6 @@ class BaseValue:
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def to_json_dict(self) -> dict:
-        d = {"lo": str(self.lo), "hi": str(self.hi), "value": self.value}
-        if self.ladder_index is not None:
-            d["ladder_index"] = self.ladder_index
-        if self.is_kl:
-            d["is_kl"] = True
-        return d
 
 
 @dataclass(frozen=True)
@@ -140,14 +132,6 @@ def require_working_base(b: BaseValue) -> BaseValue:
 # Ladder words
 # ---------------------------------------------------------------------------
 
-@cache
-def _ladder(n: int) -> Word:
-    if n == 1:
-        return (2,)
-    w = _ladder(n - 1)
-    return inc_last(w + reflect2(w), alphabet_max=2)
-
-
 def _check_ladder_index(n: int) -> None:
     if n < 1:
         raise DomainError("ladder index must be >= 1")
@@ -161,10 +145,11 @@ def _check_tolerance(tolerance) -> None:
 
 
 def ladder_word(n: int) -> LadderWord:
-    """n-th ladder word over {0,1,2}: start at "2", append the {0,1,2}-reflection,
-    increment the last digit. Length 2^(n-1)."""
+    """n-th ladder word over {0,1,2}, of length 2^(n-1): the difference block
+    of exponent n - 1 shifted up by one. Equivalently, start at "2", append
+    the {0,1,2}-reflection d -> 2 - d and increment the last digit."""
     _check_ladder_index(n)
-    return LadderWord(n, _ladder(n))
+    return LadderWord(n, tuple(d + 1 for d in tm_block(n - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,6 @@ def run(argv, stdout=None) -> int:
         code = 0
         if args.command == "selftest" and not result["all_pass"]:
             code = 1
-    except (DomainError, ResourceLimitError) as exc:
-        result, lines, code = {"error": str(exc)}, [f"  error: {exc}"], 1
     except PrecisionError as exc:
         result, lines, code = {"error": str(exc)}, [f"  error: {exc}"], 3
     except GasketError as exc:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, fields, replace
 
-from .bases import DEFAULT_TOLERANCE
+from .bases import DEFAULT_TOLERANCE, _check_tolerance
 from .errors import DomainError
 from .words import MAX_BLOCK_EXPONENT
 
@@ -32,8 +31,7 @@ class RunConfig:
     output_format: str = "text"
 
     def __post_init__(self) -> None:
-        if not 0 < self.tolerance < math.inf:
-            raise DomainError("tolerance must be positive and finite")
+        _check_tolerance(self.tolerance)
         if self.output_format not in ("text", "json"):
             raise DomainError("output_format must be 'text' or 'json'")
         for f in fields(self):

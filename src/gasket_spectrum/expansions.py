@@ -29,11 +29,15 @@ check terminates. Each tail is one bytes slice, compared with a window of
 certified alpha digits that doubles only on a tie. Against a periodic alpha
 the window stops at an exact length; otherwise a tie must be settled within
 ALPHA_HORIZON digits, or the check fails loudly (PrecisionError).
+
+alpha is read off the Thue-Morse difference block wherever it is known in
+closed form: at a tagged ladder root it is a period (alpha_period), at the
+Komornik-Loreti tag the block shifted by one. alpha_prefix serves every base
+from pure functions cached on the immutable (base, length) key.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -170,55 +174,48 @@ def _fixed_point_digits(a: int, b: int, u: Fraction | int, n: int, bits: int) ->
 # Quasi-greedy digits of 1 over {0, 1, 2}
 # ---------------------------------------------------------------------------
 
-class AlphaDigits:
-    """Certified digits of the quasi-greedy expansion of 1 in base q, as bytes.
+@lru_cache(maxsize=256)
+def alpha_period(b: BaseValue) -> bytes | None:
+    """The word that alpha(q) repeats for ever at a tagged ladder root, q_n's
+    ladder word with its last digit lowered; None at every other base."""
+    if b.ladder_index is None:
+        return None
+    if b.ladder_index < 2:
+        raise DomainError("q = 2 is not a working base")
+    return bytes(dec_last(ladder_word(b.ladder_index).word, alphabet_min=0))
 
-    One backing per kind of base: the period, repeated, for a tagged ladder
-    root; the difference block shifted by one for the Komornik-Loreti tag; for
-    a rational point, the recursion up to the horizon cap on a certified
-    fixed-point residual (see _digit_run: a digit is taken only when both ends
-    of the residual's error interval give it, and one that straddles restarts
-    the run with twice the bits); for an untagged enclosure, the common prefix
-    of its ends.
+
+def alpha_prefix(q, n: int) -> bytes:
+    """The certified digits of alpha(q) among the first n, as bytes: all of
+    them, except past the horizon cap of a rational base or where an
+    enclosure's ends disagree.
+
+    A tagged ladder root repeats alpha_period. Any other base reads
+    _alpha_run, with n clamped to the horizon at a rational point, so a read
+    past it shares one cache entry.
     """
+    b = as_base_value(q)
+    period = alpha_period(b)
+    if period is not None:
+        return period * (n // len(period)) + period[:n % len(period)]
+    return _alpha_run(b, min(n, ALPHA_HORIZON) if b.is_point else n)
 
-    def __init__(self, base: BaseValue):
-        self._lock = threading.Lock()  # the cache hands one instance to every thread
-        self._digits, self._ends = b"", None
-        self.period: Word | None = None  # alpha is this word repeated for ever
-        if base.ladder_index is not None:
-            if base.ladder_index < 2:
-                raise DomainError("q = 2 is not a working base")
-            self.period = dec_last(ladder_word(base.ladder_index).word, alphabet_min=0)
-            self._digits = bytes(self.period)
-        elif base.is_kl:
-            self._grow = lambda _, n: bytes(d + 1 for d in tm_block((n - 1).bit_length()))
-        elif base.is_point:
-            require_working_base(base)
-            self._grow = lambda digits, n: (digits if len(digits) == ALPHA_HORIZON
-                                            else _digit_run(base.lo, 1, min(n, ALPHA_HORIZON)))
-        else:
-            require_working_base(base)
-            self._ends = [AlphaDigits(BaseValue(x, x)) for x in (base.lo, base.hi)]
 
-    def prefix(self, n: int) -> bytes:
-        """The certified digits among the first n: all of them, except past the
-        horizon cap of a rational base or where an enclosure's ends disagree."""
-        if self.period is not None:
-            return self._digits * (n // len(self._digits)) + self._digits[:n % len(self._digits)]
-        if self._ends is not None:
-            lo, hi = (end.prefix(n) for end in self._ends)
-            return lo[:next((i for i, (x, y) in enumerate(zip(lo, hi)) if x != y), len(lo))]
-        with self._lock:
-            if len(self._digits) < n:
-                self._digits = self._grow(self._digits, n)
-            return self._digits[:n]
-
-    def word(self, depth: int) -> Word:
-        digits = self.prefix(depth)
-        if len(digits) < depth:
-            raise _uncertified(len(digits) + 1)
-        return tuple(digits)
+@lru_cache(maxsize=1024)  # bounded: every rational base would otherwise stay for good
+def _alpha_run(b: BaseValue, n: int) -> bytes:
+    """The first n digits of alpha at an untagged base or the Komornik-Loreti
+    tag: the difference block shifted by one for the tag; for a rational
+    point, the recursion on a certified fixed-point residual (see _digit_run:
+    a digit is taken only when both ends of the residual's error interval
+    give it, and one that straddles restarts the run with twice the bits);
+    for an enclosure, the common prefix of its ends."""
+    if b.is_kl:
+        return bytes(d + 1 for d in tm_block((n - 1).bit_length())[:n])
+    require_working_base(b)
+    if b.is_point:
+        return _digit_run(b.lo, 1, n)
+    lo, hi = (alpha_prefix(x, n) for x in (b.lo, b.hi))
+    return lo[:next((i for i, (x, y) in enumerate(zip(lo, hi)) if x != y), len(lo))]
 
 
 def _uncertified(i: int) -> PrecisionError:
@@ -226,20 +223,14 @@ def _uncertified(i: int) -> PrecisionError:
                           else f"alpha digit {i} is not determined by the base enclosure")
 
 
-@lru_cache(maxsize=256)  # bounded: every rational base would otherwise stay for good
-def _alpha(b: BaseValue) -> AlphaDigits:
-    return AlphaDigits(b)
-
-
-def alpha_digits(q) -> AlphaDigits:
-    return _alpha(as_base_value(q))
-
-
 def quasi_greedy_alpha(q, depth: int) -> Word:
     """First digits of the quasi-greedy expansion of 1 over {0, 1, 2}."""
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    return alpha_digits(q).word(depth)
+    digits = alpha_prefix(q, depth)
+    if len(digits) < depth:
+        raise _uncertified(len(digits) + 1)
+    return tuple(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +262,15 @@ def uniqueness_verdict(seq: Seq, q) -> UniquenessVerdict:
     for d in digits:
         if d not in (-1, 0, 1):
             raise DomainError(f"digit {d!r} is not ternary")
-    alpha = alpha_digits(q)
+    b = as_base_value(q)
+    period = alpha_period(b)
     c = bytes(d + 1 for d in digits)
     pre, per = len(seq.preperiod), len(seq.period)
-    limit = ALPHA_HORIZON if alpha.period is None else pre + lcm(per, len(alpha.period)) + 1
+    limit = ALPHA_HORIZON if period is None else pre + lcm(per, len(period)) + 1
 
     def lay_out(window: int) -> tuple[int, tuple[bytes, bytes], bytes]:
         line = c[:pre] + c[pre:] * (2 + window // per)  # every tail, window digits long
-        return window, (line, line.translate(_REFLECT)), alpha.prefix(window)
+        return window, (line, line.translate(_REFLECT)), alpha_prefix(b, window)
 
     window, lines, a = lay_out(min(FIRST_WINDOW, limit))
     for k, d in enumerate(c, start=1):
@@ -289,7 +281,7 @@ def uniqueness_verdict(seq: Seq, q) -> UniquenessVerdict:
                 if len(a) < window:
                     raise _uncertified(len(a) + 1)
                 if window == limit:
-                    if alpha.period is None:
+                    if period is None:
                         raise PrecisionError(f"lexicographic comparison undecided after {limit} digits")
                     break
                 window, lines, a = lay_out(min(2 * window, limit))

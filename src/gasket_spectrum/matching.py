@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, ResourceLimitError
-from .words import Seq, Word, dec_last, inc_last, reflect, tm_block
+from .words import Seq, Word, dec_last, reflect, tm_block
 
 OMEGA1 = ((0, 0), (0, 1), (1, 0))
 OMEGA2 = frozenset(
@@ -155,13 +155,15 @@ def _masks(w: Word) -> tuple[int, int, int]:
 
 
 def _fold(mask: int, width: int) -> int:
-    """OR of the width-bit chunks of mask."""
-    low = (1 << width) - 1
-    folded = 0
-    while mask:
-        folded |= mask & low
-        mask >>= width
-    return folded
+    """OR of the width-bit chunks of mask, by halves: of k chunks, the upper
+    ones are ORed onto the lower ceil(k/2) until one is left, so the cost is
+    O(bits log k) rather than a full-width shift per chunk."""
+    chunks = -(-mask.bit_length() // width)
+    while chunks > 1:
+        chunks = (chunks + 1) // 2
+        cut = chunks * width
+        mask = (mask >> cut) | (mask & ((1 << cut) - 1))
+    return mask
 
 
 def _shift_tests(x: Word, y: Word) -> tuple[Callable[[int], bool], Callable[[int], bool]]:
@@ -222,28 +224,23 @@ def verify_shift_trichotomy(n: int) -> VerifierReport:
 
 
 def _bump_word(n: int, variant: str) -> Word:
-    e = tm_block(n)
+    """The bumped period of check 3.2, e + inc_last(reflect(e)) + reflect(e)
+    + e with e = block(n): by the doubling rule that is block(n+2), and the
+    "minus" variant lowers its last digit."""
     if variant == "minus":
-        tail = dec_last(e)
-    elif variant == "plain":
-        tail = e
-    else:
-        raise DomainError(f"variant must be 'minus' or 'plain', not {variant!r}")
-    return e + inc_last(reflect(e)) + reflect(e) + tail
+        return dec_last(tm_block(n + 2))
+    if variant == "plain":
+        return tm_block(n + 2)
+    raise DomainError(f"variant must be 'minus' or 'plain', not {variant!r}")
 
 
 def b_blocks(n: int) -> tuple[Word, Word, Word, Word]:
-    """The four length-2^(n+2) concatenation blocks built from block(n)."""
+    """The four length-2^(n+2) concatenation blocks built from block(n): the
+    minus and plain bump words, then their reflections."""
     if n < 1:
         raise DomainError("scale must be >= 1")
-    e = tm_block(n)
-    eb_plus = inc_last(reflect(e))
-    e_minus = dec_last(e)
-    b1 = e + eb_plus + reflect(e) + e_minus
-    b2 = e + eb_plus + reflect(e) + e
-    b3 = reflect(e) + e_minus + e + eb_plus
-    b4 = reflect(e) + e_minus + e + reflect(e)
-    return b1, b2, b3, b4
+    b1, b2 = _bump_word(n, "minus"), _bump_word(n, "plain")
+    return b1, b2, reflect(b1), reflect(b2)
 
 
 # Positions the bump check tests for every shift at once before it searches

@@ -85,13 +85,6 @@ class SFTSpec:
     n: int
     letters: dict  # name -> Word, names per SFT_LETTER_ORDER
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "letters": {k: list(v) for k, v in self.letters.items()},
-            "transition": [list(r) for r in SFT_MATRIX],
-        }
-
 
 def sft_letters(n: int) -> dict:
     """Four letters of length 2^n: 0 or -1 followed by the difference prefix."""
@@ -175,15 +168,6 @@ class WitnessPrefix:
     target: Fraction
     achieved: Fraction
     block_counts: tuple[int, int]  # how many u1 / u2 blocks were used
-
-    def to_json_dict(self) -> dict:
-        return {
-            "length": len(self.pairs),
-            "target": self.target,
-            "achieved": self.achieved,
-            "blocks_u1": self.block_counts[0],
-            "blocks_u2": self.block_counts[1],
-        }
 
 
 def interval_witness(spec: SFTSpec, target, length: int) -> WitnessPrefix:

@@ -62,16 +62,11 @@ def reflect(word: Word) -> Word:
     return tuple(-d for d in word)
 
 
-def reflect2(word: Word) -> Word:
-    """Reflection of a word over {0, 1, 2}: digit d maps to 2 - d."""
-    return tuple(2 - d for d in word)
-
-
-def inc_last(word: Word, alphabet_max: int = 1) -> Word:
-    """Increment the final digit; the result must stay inside the alphabet."""
+def inc_last(word: Word) -> Word:
+    """Increment the final digit; the result must stay inside the ternary alphabet."""
     if not word:
         raise DomainError("cannot increment the last digit of an empty word")
-    if word[-1] >= alphabet_max:
+    if word[-1] >= 1:
         raise DomainError(f"last digit {word[-1]} is already the largest letter")
     return word[:-1] + (word[-1] + 1,)
 

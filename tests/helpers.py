@@ -5,8 +5,10 @@ by exact residual-interval feasibility and by a per-position Seq comparison,
 the quasi-greedy digits of 1 and greedy digits by Fraction recursions,
 sequence values by direct partial summation, roots by plain float bisection
 on the literal polynomial or by a bisection that certifies every sign it
-takes, shifted pairings and bump witnesses by digit-by-digit scans, and
-SVG/PPM files by formatting and painting point by point.
+takes, shifted pairings and bump witnesses by digit-by-digit scans, ladder
+words by their doubling rule and the bump blocks by four-block concatenation,
+mask folds chunk by chunk, and SVG/PPM files by formatting and painting
+point by point.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from gasket_spectrum import bases, matching
 from gasket_spectrum.errors import DomainError, PrecisionError
 from gasket_spectrum.expansions import (
     ALPHA_HORIZON,
-    AlphaDigits,
     UniquenessVerdict,
-    alpha_digits,
+    alpha_period,
+    alpha_prefix,
 )
 from gasket_spectrum.geometry import _CANVAS, LAYER_COLORS
-from gasket_spectrum.words import Seq, Word
+from gasket_spectrum.words import Seq, Word, dec_last, inc_last, reflect, tm_block
 
 
 def seq_digits(seq: Seq, n: int) -> list[int]:
@@ -68,24 +70,25 @@ def residual_unique(seq: Seq, q: Fraction) -> bool:
     return True
 
 
-def _compare_seq_with_alpha(tail: Seq, alpha: AlphaDigits) -> int:
-    """-1 if tail < alpha lexicographically, +1 if greater, 0 if equal."""
-    if alpha.period is not None:
+def _compare_seq_with_alpha(tail: Seq, base: bases.BaseValue) -> int:
+    """-1 if tail < alpha(base) lexicographically, +1 if greater, 0 if equal."""
+    period = alpha_period(base)
+    if period is not None:
         limit = (len(tail.preperiod)
-                 + (len(tail.period) * len(alpha.period)) // gcd(len(tail.period), len(alpha.period))
+                 + (len(tail.period) * len(period)) // gcd(len(tail.period), len(period))
                  + 1)
     else:
         limit = ALPHA_HORIZON
     digits = b""
     for i in range(1, limit + 1):
         if i > len(digits):
-            digits = alpha.prefix(2 * i)  # alpha is read only as far as the tie runs
+            digits = alpha_prefix(base, 2 * i)  # alpha is read only as far as the tie runs
             if i > len(digits):
                 raise PrecisionError(f"alpha digit {i} is not determined by the base enclosure")
         a, b = tail.digit(i), digits[i - 1]
         if a != b:
             return -1 if a < b else 1
-    if alpha.period is not None:
+    if period is not None:
         return 0
     raise PrecisionError(f"lexicographic comparison undecided after {ALPHA_HORIZON} digits")
 
@@ -125,16 +128,55 @@ def seq_uniqueness_verdict(seq: Seq, q) -> UniquenessVerdict:
     for d in seq.preperiod + seq.period:
         if d not in (-1, 0, 1):
             raise DomainError(f"digit {d!r} is not ternary")
-    alpha = alpha_digits(q)
+    base = bases.as_base_value(q)
     c = seq.map(lambda d: d + 1)
     for k in range(1, len(c.preperiod) + len(c.period) + 1):
         d = c.digit(k)
         tail = c.shift(k)
-        if d < 2 and _compare_seq_with_alpha(tail, alpha) >= 0:
+        if d < 2 and _compare_seq_with_alpha(tail, base) >= 0:
             return UniquenessVerdict(False, k, "tail")
-        if d > 0 and _compare_seq_with_alpha(tail.map(lambda x: 2 - x), alpha) >= 0:
+        if d > 0 and _compare_seq_with_alpha(tail.map(lambda x: 2 - x), base) >= 0:
             return UniquenessVerdict(False, k, "reflected_tail")
     return UniquenessVerdict(True)
+
+
+def ladder_word_doubling(n: int) -> Word:
+    """The n-th ladder word by its own doubling rule over {0, 1, 2}: start
+    at (2,), append the reflection d -> 2 - d, increment the last digit."""
+    w = (2,)
+    for _ in range(n - 1):
+        w = w + tuple(2 - d for d in w)
+        assert w[-1] < 2, "the incremented digit must stay in {0, 1, 2}"
+        w = w[:-1] + (w[-1] + 1,)
+    return w
+
+
+def four_block_bump_word(n: int, variant: str) -> Word:
+    """The bumped period of check 3.2 as the concatenation of four blocks
+    built from e = block(n)."""
+    e = tm_block(n)
+    tail = {"minus": dec_last(e), "plain": e}[variant]
+    return e + inc_last(reflect(e)) + reflect(e) + tail
+
+
+def four_block_b_blocks(n: int) -> tuple[Word, Word, Word, Word]:
+    """The four concatenation blocks of scale n, each built block by block."""
+    e = tm_block(n)
+    eb_plus, e_minus = inc_last(reflect(e)), dec_last(e)
+    return (e + eb_plus + reflect(e) + e_minus,
+            e + eb_plus + reflect(e) + e,
+            reflect(e) + e_minus + e + eb_plus,
+            reflect(e) + e_minus + e + reflect(e))
+
+
+def fold_chunks(mask: int, width: int) -> int:
+    """OR of the width-bit chunks of mask, one chunk at a time."""
+    low = (1 << width) - 1
+    folded = 0
+    while mask:
+        folded |= mask & low
+        mask >>= width
+    return folded
 
 
 def ladder_value_exact(q: Fraction, n: int) -> Fraction:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -26,7 +27,7 @@ from gasket_spectrum.errors import (
 )
 from gasket_spectrum.words import tm_block
 
-from helpers import certified_bisect, float_bisect, ladder_value_exact
+from helpers import certified_bisect, float_bisect, ladder_value_exact, ladder_word_doubling
 
 
 def test_ladder_words_small():
@@ -57,15 +58,20 @@ def test_ladder_word_bounds():
         ladder_word(MAX_LADDER_INDEX + 1)
 
 
-def test_base_root_cap_builds_no_ladder_word():
-    # The cap is checked on the index; no 2^(n-1)-digit word is built for it.
-    bases._ladder.cache_clear()
-    base_root(9)
-    assert bases._ladder.cache_info().currsize == 0
+def test_ladder_words_match_doubling_reference():
+    for n in range(1, 17):
+        assert ladder_word(n).word == ladder_word_doubling(n), n
+
+
+def test_base_root_cap_builds_no_ladder_word(monkeypatch):
+    # The cap is checked on the index; no 2^(n-1)-digit word is built for it,
+    # and the root itself comes from the doubling identity, not from a word.
+    monkeypatch.setattr(bases, "tm_block", lambda n: pytest.fail("a ladder word was built"))
+    monkeypatch.setattr(bases, "_root", functools.cache(bases._root.__wrapped__))
+    assert base_root(9).ladder_index == 9
     cap = MAX_LADDER_INDEX
     with pytest.raises(PrecisionError, match=f"ladder index {cap + 1} exceeds cap {cap}"):
         base_root(cap + 1)
-    assert bases._ladder.cache_info().currsize == 0
 
 
 def test_base_root_first_is_exact():

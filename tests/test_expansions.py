@@ -195,8 +195,9 @@ def test_greedy_matches_fraction_reference_at_long_bases():
 
 def test_long_alpha_prefix_near_kl_is_fast():
     q = _near_kl(40)
+    expansions._alpha_run.cache_clear()
     started = time.perf_counter()
-    digits = expansions.AlphaDigits(bases.BaseValue(q, q)).prefix(4096)
+    digits = expansions.alpha_prefix(bases.BaseValue(q, q), 4096)
     elapsed = time.perf_counter() - started
     assert len(digits) == 4096
     assert elapsed < 2.0, f"4096 alpha digits at KL + 1e-40 took {elapsed:.2f}s"
@@ -213,10 +214,10 @@ def test_deep_expand_command_is_fast():
 
 
 def test_alpha_past_the_horizon_is_not_recomputed(monkeypatch):
-    alpha = expansions.AlphaDigits(bases.BaseValue(Fraction(5, 2), Fraction(5, 2)))
-    assert len(alpha.prefix(expansions.ALPHA_HORIZON + 1)) == expansions.ALPHA_HORIZON
+    b = bases.BaseValue(Fraction(5, 2), Fraction(5, 2))
+    assert len(expansions.alpha_prefix(b, expansions.ALPHA_HORIZON + 1)) == expansions.ALPHA_HORIZON
     monkeypatch.setattr(expansions, "_digit_run", lambda *args: pytest.fail("alpha was recomputed"))
-    assert len(alpha.prefix(expansions.ALPHA_HORIZON + 2)) == expansions.ALPHA_HORIZON
+    assert len(expansions.alpha_prefix(b, expansions.ALPHA_HORIZON + 2)) == expansions.ALPHA_HORIZON
 
 
 def test_alpha_increasing_in_q():
@@ -233,11 +234,10 @@ def test_alpha_enclosure_gives_certified_digits_then_raises():
     while agree < 64 and lo[agree] == hi[agree]:
         agree += 1
     assert 0 < agree < 64
-    provider = expansions.alpha_digits(b)
-    assert provider.word(agree) == lo[:agree]
-    assert provider.prefix(64) == bytes(lo[:agree])
+    assert quasi_greedy_alpha(b, agree) == lo[:agree]
+    assert expansions.alpha_prefix(b, 64) == bytes(lo[:agree])
     with pytest.raises(PrecisionError, match=f"alpha digit {agree + 1} is not determined"):
-        provider.word(agree + 1)
+        quasi_greedy_alpha(b, agree + 1)
 
 
 def test_uniqueness_at_tagged_ladder_point():
@@ -405,20 +405,26 @@ def test_seq_value_helper_agrees_with_library():
 
 
 def test_alpha_digits_concurrent_access():
-    # The digit cache must stay consistent under parallel readers.
+    # Readers racing on a cold digit cache all get the reference digits.
+    import sys
     import threading
 
     q = Fraction("2.47")
-    provider = expansions.alpha_digits(q)
+    expansions._alpha_run.cache_clear()
     results = []
 
     def worker():
-        results.append(provider.word(120))
+        results.append(quasi_greedy_alpha(q, 120))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
-    assert results[0] == quasi_greedy_alpha(q, 120)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [fraction_alpha(q, 120)] * 8

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from gasket_spectrum import matching
-from gasket_spectrum.errors import DomainError
+from gasket_spectrum.errors import DomainError, ResourceLimitError
 from gasket_spectrum.matching import (
     OMEGA2,
     _first_witnesses,
@@ -27,9 +28,16 @@ from gasket_spectrum.matching import (
     zip_seqs,
 )
 from gasket_spectrum.spectrum import zero_fraction
-from gasket_spectrum.words import Seq, dec_last, inc_last, reflect, tm_block
+from gasket_spectrum.words import MAX_BLOCK_EXPONENT, Seq, dec_last, inc_last, reflect, tm_block
 
-from helpers import first_witnesses_scan, scalar_bump_witnesses, scan_pair
+from helpers import (
+    first_witnesses_scan,
+    fold_chunks,
+    four_block_b_blocks,
+    four_block_bump_word,
+    scalar_bump_witnesses,
+    scan_pair,
+)
 
 
 def test_pair_alphabet_is_difference_set():
@@ -304,6 +312,35 @@ def test_b_blocks_lengths_and_identity():
         # the second block extends the calculus: it equals the block two scales up
         assert blocks[1] == tm_block(n + 2)
         assert blocks[0] == dec_last(tm_block(n + 2))
+
+
+def test_bump_words_and_b_blocks_match_four_block_reference():
+    for n in range(1, 13):
+        assert b_blocks(n) == four_block_b_blocks(n), n
+        for variant in ("minus", "plain"):
+            assert matching._bump_word(n, variant) == four_block_bump_word(n, variant), (n, variant)
+
+
+def test_b_blocks_past_the_block_cap_raise():
+    for n in (MAX_BLOCK_EXPONENT - 1, MAX_BLOCK_EXPONENT):
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            b_blocks(n)
+
+
+def test_fold_matches_chunk_reference():
+    rng = random.Random(7)
+    for _ in range(300):
+        width = rng.randint(1, 40)
+        mask = rng.getrandbits(width * rng.randint(1, 70))
+        assert matching._fold(mask, width) == fold_chunks(mask, width), (mask, width)
+    assert matching._fold(0, 5) == 0
+
+
+def test_cross_scale_from_the_smallest_scale_is_fast():
+    started = time.perf_counter()
+    assert verify_cross_scale(1, 17).passed
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.5, f"verify_cross_scale(1, 17) took {elapsed:.2f}s"
 
 
 def test_reflection_symmetry_of_matching():
