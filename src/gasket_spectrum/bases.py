@@ -32,40 +32,48 @@ enclosure tightens it until the point falls outside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cache
 
 from .errors import AmbiguousClassificationError, DomainError, PrecisionError
 from .report import float_str
-from .words import Word, tm_block
+from .words import Immutable, Word, tm_block
 
 DEFAULT_TOLERANCE = 1e-12  # enclosure width asked of roots and of the limit base
 MAX_LADDER_INDEX = 24  # ladder word 24 has 2^23 digits
 LADDER_DIGITS_CAP = 460  # deepest enclosure, in decimal digits
 
 
-@dataclass(frozen=True)
-class LadderWord:
-    n: int
-    word: Word
+class LadderWord(Immutable):
+    __slots__ = ("n", "word")
+
+    def __init__(self, n: int, word: Word):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "word", word)
 
 
-@dataclass(frozen=True)
-class BaseValue:
-    lo: Fraction
-    hi: Fraction
-    ladder_index: int | None = None
-    is_kl: bool = False
+class BaseValue(Immutable):
+    __slots__ = ("lo", "hi", "ladder_index", "is_kl", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction, ladder_index: int | None = None,
+                 is_kl: bool = False):
+        if lo > hi:
             raise DomainError("enclosure endpoints out of order")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "ladder_index", ladder_index)
+        object.__setattr__(self, "is_kl", is_kl)
         # Hashing a 400-digit Fraction is slow and the alpha cache hashes its
         # key on every lookup, so hash once. Equal values share lo and hi;
         # hash(None) varies between processes, so the tags stay out of it.
-        object.__setattr__(self, "_hash", hash((self.lo, self.hi)))
+        object.__setattr__(self, "_hash", hash((lo, hi)))
+
+    def __eq__(self, other):
+        if not isinstance(other, BaseValue):
+            return NotImplemented
+        return (self.lo == other.lo and self.hi == other.hi
+                and self.ladder_index == other.ladder_index and self.is_kl == other.is_kl)
 
     def __hash__(self) -> int:
         return self._hash
@@ -87,10 +95,20 @@ class BaseValue:
         return self.lo == self.hi
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
-    kind: str  # "finite" | "komornik_loreti" | "interval"
-    m: int | None = None
+class RegimeLabel(Immutable):
+    __slots__ = ("kind", "m")
+
+    def __init__(self, kind: str, m: int | None = None):
+        object.__setattr__(self, "kind", kind)  # "finite" | "komornik_loreti" | "interval"
+        object.__setattr__(self, "m", m)
+
+    def __eq__(self, other):
+        if not isinstance(other, RegimeLabel):
+            return NotImplemented
+        return self.kind == other.kind and self.m == other.m
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.m))
 
     def to_json_dict(self) -> dict:
         d = {"kind": self.kind}

@@ -13,11 +13,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import bases, expansions, geometry, matching, spectrum, words
+from . import bases, expansions, matching, spectrum, words
 from .config import RunConfig, load_config
 from .errors import DomainError, GasketError, PrecisionError, ResourceLimitError
 from .report import Report, decimal_str, fraction_str
-from .selftest import run_selftest
 from .words import Seq, format_seq, format_word, parse_seq
 
 CHECK_RUNNERS = {
@@ -27,18 +26,19 @@ CHECK_RUNNERS = {
 }
 
 
-def _parent_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--format", choices=("text", "json"), dest="output_format",
-                   help="report format (default text; env GS_FORMAT)")
+def _add_common_flags(p: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
+    """The flags every subcommand takes, except those in skip, which it defines itself."""
+    if "--format" not in skip:
+        p.add_argument("--format", choices=("text", "json"), dest="output_format",
+                       help="report format (default text; env GS_FORMAT)")
     p.add_argument("--config", help="path to a JSON config file (env GS_CONFIG)")
     p.add_argument("--tolerance", type=float, help="enclosure tolerance (env GS_TOLERANCE)")
-    p.add_argument("--max-n", type=int, dest="max_block_exponent",
-                   help="block exponent cap; can only lower the built-in cap of "
-                        f"{words.MAX_BLOCK_EXPONENT} (env GS_MAX_N)")
+    if "--max-n" not in skip:
+        p.add_argument("--max-n", type=int, dest="max_block_exponent",
+                       help="block exponent cap; can only lower the built-in cap of "
+                            f"{words.MAX_BLOCK_EXPONENT} (env GS_MAX_N)")
     p.add_argument("--timing", action="store_true",
                    help="report wall-clock timing (breaks byte determinism)")
-    return p
 
 
 _EPILOG = """\
@@ -61,10 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, **kwargs) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[_parent_parser()], help=help_text, **kwargs)
+    def add(name: str, help_text: str, skip: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        _add_common_flags(p, skip)
+        return p
 
-    p = add("bases", "ladder words, roots, and the limit base", conflict_handler="resolve")
+    p = add("bases", "ladder words, roots, and the limit base", skip=("--max-n",))
     p.add_argument("--max-n", type=int, default=8, dest="bases_max_n")
 
     p = add("classify", "regime of a base")
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--kl-terms", type=int, dest="kl_terms")
 
-    p = add("render", "render E, E+t, and the intersection", conflict_handler="resolve")
+    p = add("render", "render E, E+t, and the intersection", skip=("--format",))
     p.add_argument("--q", required=True)
     p.add_argument("--t-seq", required=True, nargs=2, metavar=("X", "Y"),
                    help="coordinate sequence literals of the translation")
@@ -252,6 +254,8 @@ def _cmd_dq(args, config):
 
 
 def _cmd_render(args, config):
+    from . import geometry  # imported here: no other command loads it
+
     q = _parse_base(args.q, config)
     sx = parse_seq(args.t_seq[0])
     sy = parse_seq(args.t_seq[1])
@@ -289,6 +293,8 @@ def _cmd_render(args, config):
 
 
 def _cmd_selftest(args, config):
+    from .selftest import run_selftest  # imported here: it loads every module
+
     result = run_selftest(config)
     lines = []
     for item in result["items"]:

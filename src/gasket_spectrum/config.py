@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
 
 from .bases import DEFAULT_TOLERANCE, _check_tolerance
 from .errors import DomainError
-from .words import MAX_BLOCK_EXPONENT
+from .words import MAX_BLOCK_EXPONENT, Immutable
 
 # Environment variable names, documented in the README.
 ENV_KEYS = {
@@ -23,25 +22,33 @@ _INT_FIELDS = {"max_block_exponent", "kl_terms"}
 MAX_KL_TERMS = 1024  # family terms a KL report lists; its size grows quadratically
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float = DEFAULT_TOLERANCE
-    max_block_exponent: int = MAX_BLOCK_EXPONENT
-    kl_terms: int = 32
-    output_format: str = "text"
+class RunConfig(Immutable):
+    __slots__ = ("tolerance", "max_block_exponent", "kl_terms", "output_format")
 
-    def __post_init__(self) -> None:
-        _check_tolerance(self.tolerance)
-        if self.output_format not in ("text", "json"):
+    def __init__(self, tolerance: float = DEFAULT_TOLERANCE,
+                 max_block_exponent: int = MAX_BLOCK_EXPONENT, kl_terms: int = 32,
+                 output_format: str = "text"):
+        _check_tolerance(tolerance)
+        if output_format not in ("text", "json"):
             raise DomainError("output_format must be 'text' or 'json'")
-        for f in fields(self):
-            if f.name in _INT_FIELDS and getattr(self, f.name) < 1:
-                raise DomainError(f"{f.name} must be a positive integer")
-        if self.kl_terms > MAX_KL_TERMS:
-            raise DomainError(f"kl_terms {self.kl_terms} exceeds cap {MAX_KL_TERMS}")
+        if max_block_exponent < 1:
+            raise DomainError("max_block_exponent must be a positive integer")
+        if kl_terms < 1:
+            raise DomainError("kl_terms must be a positive integer")
+        if kl_terms > MAX_KL_TERMS:
+            raise DomainError(f"kl_terms {kl_terms} exceeds cap {MAX_KL_TERMS}")
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "max_block_exponent", max_block_exponent)
+        object.__setattr__(self, "kl_terms", kl_terms)
+        object.__setattr__(self, "output_format", output_format)
 
 
 DEFAULT_CONFIG = RunConfig()
+
+
+def _replace(cfg: RunConfig, changes: dict) -> RunConfig:
+    """A copy of cfg with the named fields changed, validated as a new config."""
+    return RunConfig(**{**{name: getattr(cfg, name) for name in RunConfig.__slots__}, **changes})
 
 
 def _coerce(name: str, raw: object) -> object:
@@ -74,18 +81,18 @@ def load_config(
             raise DomainError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise DomainError(f"config file {path} must hold a JSON object")
-        unknown = set(data) - {f.name for f in fields(RunConfig)}
+        unknown = set(data) - set(RunConfig.__slots__)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **{k: _coerce(k, v) for k, v in data.items()})
+        cfg = _replace(cfg, {k: _coerce(k, v) for k, v in data.items()})
 
     for env_key, field_name in ENV_KEYS.items():
         if field_name and env_key in env:
-            cfg = replace(cfg, **{field_name: _coerce(field_name, env[env_key])})
+            cfg = _replace(cfg, {field_name: _coerce(field_name, env[env_key])})
 
     if flag_values:
         updates = {k: v for k, v in flag_values.items() if v is not None}
         if updates:
-            cfg = replace(cfg, **{k: _coerce(k, v) for k, v in updates.items()})
+            cfg = _replace(cfg, {k: _coerce(k, v) for k, v in updates.items()})
 
     return cfg

@@ -38,7 +38,6 @@ from pure functions cached on the immutable (base, length) key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -46,7 +45,7 @@ from math import lcm
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
 from .errors import DomainError, PrecisionError, ResourceLimitError
 from .report import float_str
-from .words import Seq, Word, dec_last, reflect, tm_block
+from .words import Immutable, Seq, Word, dec_last, reflect, tm_block
 
 ALPHA_HORIZON = 4096  # digits of a non-periodic alpha that a comparison may read
 FIRST_WINDOW = 16  # alpha digits a comparison reads before a tie doubles the window
@@ -237,11 +236,20 @@ def quasi_greedy_alpha(q, depth: int) -> Word:
 # Uniqueness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UniquenessVerdict:
-    unique: bool
-    failing_index: int | None = None
-    clause: str | None = None  # "tail" or "reflected_tail"
+class UniquenessVerdict(Immutable):
+    __slots__ = ("unique", "failing_index", "clause")
+
+    def __init__(self, unique: bool, failing_index: int | None = None,
+                 clause: str | None = None):
+        object.__setattr__(self, "unique", unique)
+        object.__setattr__(self, "failing_index", failing_index)
+        object.__setattr__(self, "clause", clause)  # "tail" or "reflected_tail"
+
+    def __eq__(self, other):
+        if not isinstance(other, UniquenessVerdict):
+            return NotImplemented
+        return (self.unique == other.unique and self.failing_index == other.failing_index
+                and self.clause == other.clause)
 
     def to_json_dict(self) -> dict:
         d: dict = {"unique": self.unique}
@@ -326,26 +334,28 @@ def find_unique_with_tail(tail: Seq, q, max_preperiod: int = 64) -> Seq | None:
 # Komornik-Loreti tail words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KLTailDescriptor:
+class KLTailDescriptor(Immutable):
     """Block exponents for the aperiodic tails at the Komornik-Loreti base.
 
     Stage k contributes (block_k reflect(block_k))^j[k] then
     (block_k reflect(block_{k+1}))^l[k]; the j and l patterns are cycled when
     shorter than the number of stages needed to reach the truncation length.
     """
-    j: tuple[int, ...]
-    l: tuple[int, ...]
-    reflected: bool = False
-    truncate: int = 64
 
-    def __post_init__(self) -> None:
-        if any(x < 0 for x in self.j):
+    __slots__ = ("j", "l", "reflected", "truncate")
+
+    def __init__(self, j: tuple[int, ...], l: tuple[int, ...], reflected: bool = False,
+                 truncate: int = 64):
+        if any(x < 0 for x in j):
             raise DomainError("j exponents must be nonnegative")
-        if any(x not in (0, 1) for x in self.l):
+        if any(x not in (0, 1) for x in l):
             raise DomainError("l exponents must be bits")
-        if self.truncate < 1:
+        if truncate < 1:
             raise DomainError("truncation must be positive")
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "reflected", reflected)
+        object.__setattr__(self, "truncate", truncate)
 
 
 def kl_tail(desc: KLTailDescriptor) -> Word:

@@ -6,14 +6,13 @@ so outputs (and the SVG/PPM bytes derived from them) are identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import add
 
 from .bases import as_base_value, require_working_base
 from .errors import DomainError, ResourceLimitError
 from .matching import OMEGA1, OMEGA2, analyze
-from .words import Seq
+from .words import Immutable, Seq
 
 MAX_RENDER_DEPTH = 12  # 3^12 points per gasket layer
 
@@ -32,21 +31,26 @@ def branch_set(t) -> tuple:
     return BRANCH_TABLE[t]
 
 
-@dataclass(frozen=True)
-class CylinderTree:
-    q: float
-    depth: int
-    branch_sets: tuple
+class CylinderTree(Immutable):
+    __slots__ = ("q", "depth", "branch_sets")
+
+    def __init__(self, q: float, depth: int, branch_sets: tuple):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "branch_sets", branch_sets)
 
 
-@dataclass(frozen=True)
-class PointCloud:
+class PointCloud(Immutable):
     """Points as two coordinate columns of floats: point k is (xs[k], ys[k])."""
-    kind: str  # "E", "E_plus_t", or "intersection"
-    q: float
-    depth: int
-    xs: tuple
-    ys: tuple
+
+    __slots__ = ("kind", "q", "depth", "xs", "ys")
+
+    def __init__(self, kind: str, q: float, depth: int, xs: tuple, ys: tuple):
+        object.__setattr__(self, "kind", kind)  # "E", "E_plus_t", or "intersection"
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     @property
     def points(self) -> tuple:

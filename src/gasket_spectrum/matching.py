@@ -25,12 +25,11 @@ by the CLI and JSON reports.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, ResourceLimitError
-from .words import Seq, Word, dec_last, reflect, tm_block
+from .words import Immutable, Seq, Word, dec_last, reflect, tm_block
 
 OMEGA1 = ((0, 0), (0, 1), (1, 0))
 OMEGA2 = frozenset(
@@ -39,13 +38,17 @@ OMEGA2 = frozenset(
 _FORBIDDEN = ((1, 1), (-1, -1))
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    matched: bool
-    first_violation_index: int | None
-    zero_pair_density: Fraction
-    zero_pair_in_period: bool
-    period_length: int
+class MatchReport(Immutable):
+    __slots__ = ("matched", "first_violation_index", "zero_pair_density",
+                 "zero_pair_in_period", "period_length")
+
+    def __init__(self, matched: bool, first_violation_index: int | None,
+                 zero_pair_density: Fraction, zero_pair_in_period: bool, period_length: int):
+        object.__setattr__(self, "matched", matched)
+        object.__setattr__(self, "first_violation_index", first_violation_index)
+        object.__setattr__(self, "zero_pair_density", zero_pair_density)
+        object.__setattr__(self, "zero_pair_in_period", zero_pair_in_period)
+        object.__setattr__(self, "period_length", period_length)
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,14 +113,17 @@ def e_seq(n: int, m: int, i: int) -> Seq:
 # Lemma-style verifier reports
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerifierReport:
-    check: str
-    params: dict
-    passed: bool
-    witnesses: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    __slots__ = ("check", "params", "passed", "witnesses", "counterexamples", "stats")
+
+    def __init__(self, check: str, params: dict, passed: bool, witnesses: list | None = None,
+                 counterexamples: list | None = None, stats: dict | None = None):
+        self.check = check
+        self.params = params
+        self.passed = passed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.stats = {} if stats is None else stats
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any
@@ -70,14 +69,17 @@ def canonical_json_bytes(obj: Any) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    result: Any
-    timing_ms: int = 0
-    version: str = __version__
-    schema: str = SCHEMA_VERSION
+    __slots__ = ("command", "inputs", "result", "timing_ms", "version", "schema")
+
+    def __init__(self, command: str, inputs: dict, result: Any, timing_ms: int = 0,
+                 version: str = __version__, schema: str = SCHEMA_VERSION):
+        self.command = command
+        self.inputs = inputs
+        self.result = result
+        self.timing_ms = timing_ms
+        self.version = version
+        self.schema = schema
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,6 @@ as all of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bases import RegimeLabel, as_base_value, classify
@@ -20,7 +19,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import CapabilityError, DomainError, InternalConsistencyError
 from .expansions import KLTailDescriptor, is_unique_expansion, kl_tail
 from .matching import VerifierReport, analyze, b_blocks, zip_seqs
-from .words import Seq, Word, reflect, tm_block
+from .words import Immutable, Seq, Word, reflect, tm_block
 
 # Transition matrix of the unique-expansion subshift, letter order (a, b, abar, bbar):
 # a -> {b, abar}, b -> {abar}, abar -> {a, bbar}, bbar -> {a}.
@@ -80,10 +79,12 @@ def dimension(q, density) -> float:
 # Subshift letters and the two extremal pair words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SFTSpec:
-    n: int
-    letters: dict  # name -> Word, names per SFT_LETTER_ORDER
+class SFTSpec(Immutable):
+    __slots__ = ("n", "letters")
+
+    def __init__(self, n: int, letters: dict):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)  # name -> Word, names per SFT_LETTER_ORDER
 
 
 def sft_letters(n: int) -> dict:
@@ -162,12 +163,15 @@ def sft_densities(spec: SFTSpec) -> tuple[Fraction, Fraction]:
     return d1, d2
 
 
-@dataclass(frozen=True)
-class WitnessPrefix:
-    pairs: tuple
-    target: Fraction
-    achieved: Fraction
-    block_counts: tuple[int, int]  # how many u1 / u2 blocks were used
+class WitnessPrefix(Immutable):
+    __slots__ = ("pairs", "target", "achieved", "block_counts")
+
+    def __init__(self, pairs: tuple, target: Fraction, achieved: Fraction,
+                 block_counts: tuple[int, int]):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "achieved", achieved)
+        object.__setattr__(self, "block_counts", block_counts)  # how many u1 / u2 blocks were used
 
 
 def interval_witness(spec: SFTSpec, target, length: int) -> WitnessPrefix:
@@ -268,11 +272,13 @@ def kl_density_check(horizon: int,
 # The spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyPart:
-    terms: tuple  # Fractions, the densities
-    accumulation_density: Fraction | None
-    log_ratio: float
+class FamilyPart(Immutable):
+    __slots__ = ("terms", "accumulation_density", "log_ratio")
+
+    def __init__(self, terms: tuple, accumulation_density: Fraction | None, log_ratio: float):
+        object.__setattr__(self, "terms", terms)  # Fractions, the densities
+        object.__setattr__(self, "accumulation_density", accumulation_density)
+        object.__setattr__(self, "log_ratio", log_ratio)
 
     def dims(self) -> tuple:
         return tuple(self.log_ratio * float(t) for t in self.terms)
@@ -289,14 +295,17 @@ class FamilyPart:
         return d
 
 
-@dataclass(frozen=True)
-class IntervalPart:
-    lo: float
-    hi: float
-    lo_density: Fraction
-    hi_density: Fraction
-    sft_n: int
-    containment_only: bool = True
+class IntervalPart(Immutable):
+    __slots__ = ("lo", "hi", "lo_density", "hi_density", "sft_n", "containment_only")
+
+    def __init__(self, lo: float, hi: float, lo_density: Fraction, hi_density: Fraction,
+                 sft_n: int, containment_only: bool = True):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_density", lo_density)
+        object.__setattr__(self, "hi_density", hi_density)
+        object.__setattr__(self, "sft_n", sft_n)
+        object.__setattr__(self, "containment_only", containment_only)
 
     def to_json_dict(self) -> dict:
         return {
@@ -309,13 +318,16 @@ class IntervalPart:
         }
 
 
-@dataclass(frozen=True)
-class DimensionSpectrum:
-    regime: RegimeLabel
-    log_ratio: float
-    isolated: tuple
-    family: FamilyPart | None
-    interval: IntervalPart | None
+class DimensionSpectrum(Immutable):
+    __slots__ = ("regime", "log_ratio", "isolated", "family", "interval")
+
+    def __init__(self, regime: RegimeLabel, log_ratio: float, isolated: tuple,
+                 family: FamilyPart | None, interval: IntervalPart | None):
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "log_ratio", log_ratio)
+        object.__setattr__(self, "isolated", isolated)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "interval", interval)
 
     def all_values(self) -> tuple:
         vals = list(self.isolated)

@@ -88,7 +88,22 @@ def _primitive_period(period: Word) -> Word:
     return period
 
 
-class Seq:
+class Immutable:
+    """Base of the package's frozen records: each subclass lists its fields in
+    __slots__ and sets them once in __init__ through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots, given as state[1], by setattr
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Seq(Immutable):
     """Eventually periodic sequence preperiod . period^inf over arbitrary digits.
 
     The constructor canonicalizes: the period is reduced to its primitive
@@ -109,9 +124,6 @@ class Seq:
             per = per[-1:] + per[:-1]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Seq is immutable")
 
     def __eq__(self, other):
         return (

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import io
 import json
 import math
@@ -13,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from gasket_spectrum import bases, geometry, matching, selftest, words
+from gasket_spectrum import bases, cli, geometry, matching, selftest, words
 from gasket_spectrum.bases import as_base_value
 from gasket_spectrum.cli import build_parser, run
 from gasket_spectrum.config import DEFAULT_CONFIG, ENV_KEYS, RunConfig, load_config
@@ -256,7 +255,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_every_config_field_has_an_environment_variable():
     # A knob reachable only from a config file would be untested and undocumented.
-    names = {f.name for f in dataclasses.fields(RunConfig)}
+    names = set(RunConfig.__slots__)
     assert names == {v for v in ENV_KEYS.values() if v is not None}
 
 
@@ -442,6 +441,73 @@ def test_flags_before_subcommand_are_a_usage_error():
     code, text = run_cli(["--format", "json", "dq", "--q", "2.2"])
     assert code == 2
     assert text == ""
+
+
+# The least argv each subcommand parses with.
+_REQUIRED_ARGS = {
+    "bases": [],
+    "classify": ["--q", "2.2"],
+    "expand": ["--q", "2.5", "--x", "1/3"],
+    "unique": ["--q", "2.5", "--seq", "0^inf"],
+    "density": [],
+    "verify": ["--lemma", "3.1", "--n", "2"],
+    "dq": ["--q", "2.2"],
+    "render": ["--q", "2.5", "--t-seq", "0^inf", "0^inf", "--out", "x.svg"],
+    "selftest": [],
+}
+
+
+def test_every_subcommand_takes_the_common_flags(tmp_path, monkeypatch):
+    # bases owns --max-n and render owns --format; every other common flag
+    # parses on every subcommand and its value reaches the run config.
+    for key in ENV_KEYS:
+        monkeypatch.delenv(key, raising=False)
+    cfg_path = tmp_path / "conf.json"
+    cfg_path.write_text('{"kl_terms": 7}')
+    common = {
+        "--format": (["json"], lambda cfg: cfg.output_format == "json"),
+        "--config": ([str(cfg_path)], lambda cfg: cfg.kl_terms == 7),
+        "--tolerance": (["1e-9"], lambda cfg: cfg.tolerance == 1e-9),
+        "--max-n": (["5"], lambda cfg: cfg.max_block_exponent == 5),
+    }
+    owned = {"bases": "--max-n", "render": "--format"}
+    assert set(_REQUIRED_ARGS) == set(cli.COMMANDS)
+    parser = build_parser()
+    for command, required in _REQUIRED_ARGS.items():
+        for flag, (value, holds) in common.items():
+            if owned.get(command) == flag:
+                continue
+            args = parser.parse_args([command, *required, flag, *value])
+            assert holds(cli._config_from_args(args)), (command, flag)
+            assert not args.timing, command
+        assert parser.parse_args([command, *required, "--timing"]).timing, command
+    args = parser.parse_args(["bases", "--max-n", "5"])
+    assert args.bases_max_n == 5
+    assert cli._config_from_args(args).max_block_exponent == DEFAULT_CONFIG.max_block_exponent
+    args = parser.parse_args(["render", *_REQUIRED_ARGS["render"], "--format", "ppm"])
+    assert args.render_format == "ppm"
+    assert cli._config_from_args(args).output_format == "text"
+
+
+def test_cli_import_loads_no_code_generation_or_unused_modules():
+    # The records are plain classes, so importing the CLI needs neither
+    # dataclasses nor the inspect machinery it pulls in; geometry and the
+    # selftest battery load only for the commands that use them.
+    import subprocess
+    import sys
+
+    import gasket_spectrum
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gasket_spectrum.__file__)))
+    unwanted = ("dataclasses", "inspect", "gasket_spectrum.geometry", "gasket_spectrum.selftest")
+    script = ("import sys, gasket_spectrum.cli\n"
+              f"print(sorted(m for m in {unwanted!r} if m in sys.modules))\n")
+    # -S: no site hooks, so only the package's own imports are seen
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_kl_base_follows_run_tolerance():

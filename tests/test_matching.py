@@ -295,6 +295,15 @@ def test_cross_scale_reports():
         verify_cross_scale(3, 2)
 
 
+def test_verifier_reports_do_not_share_lists():
+    a = matching.VerifierReport("3.1", {}, True)
+    b = matching.VerifierReport("3.1", {}, True)
+    a.witnesses.append(1)
+    a.counterexamples.append(2)
+    a.stats["k"] = 3
+    assert (b.witnesses, b.counterexamples, b.stats) == ([], [], {})
+
+
 def test_b_blocks_small_case():
     b1, b2, b3, b4 = b_blocks(1)
     assert b1 == (1, 0, -1, 1, -1, 0, 1, -1)

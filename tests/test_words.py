@@ -184,6 +184,51 @@ def test_seq_immutable():
         s.period = (0,)
 
 
+def test_records_are_immutable():
+    from fractions import Fraction
+
+    from gasket_spectrum import bases, config, expansions, geometry, matching, spectrum
+
+    t = matching.e_seq(1, 1, 2)
+    spec = spectrum.sft_spec("2.9")
+    d1, d2 = spectrum.sft_densities(spec)
+    records = [
+        bases.ladder_word(3), bases.as_base_value("2.5"), bases.classify("2.2"),
+        config.RunConfig(), expansions.uniqueness_verdict(Seq((), (0,)), "2.5"),
+        expansions.KLTailDescriptor((1,), (1,)), geometry.cylinder_tree("2.5", t, 3),
+        geometry.build_gasket("2.5", 2), matching.analyze(t), spec,
+        spectrum.interval_witness(spec, (d1 + d2) / 2, 16),
+        spectrum.spectrum_of("2.45").family, spectrum.spectrum_of("2.9").interval,
+        spectrum.spectrum_of("2.2"),
+    ]
+    for record in records:
+        for name in type(record).__slots__ + ("extra",):
+            before = getattr(record, name, None)
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            assert getattr(record, name, None) is before, (record, name)
+    # a record is not a tuple: a base never equals its bare endpoints
+    b = bases.as_base_value("2.5")
+    assert b != (b.lo, b.hi) and b == bases.BaseValue(Fraction(5, 2), Fraction(5, 2))
+
+
+def test_records_survive_copy_and_pickle():
+    import copy
+    import pickle
+
+    from gasket_spectrum import bases, spectrum
+
+    cases = [
+        (Seq((1,), (0, -1)), lambda v: v),
+        (bases.base_root(3), lambda v: (v, hash(v), v.ladder_index)),
+        (bases.classify("2.45"), lambda v: v),
+        (spectrum.spectrum_of("2.45"), lambda v: v.to_json_dict()),
+    ]
+    for value, key in cases:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and key(twin) == key(value)
+
+
 def test_ternary_validation():
     with pytest.raises(DomainError):
         ternary_seq((), (2,))
