@@ -54,7 +54,8 @@ class PointCloud(Immutable):
 
     @property
     def points(self) -> tuple:
-        """The (x, y) pairs, built on each read."""
+        """The (x, y) pairs: each read builds one fresh tuple per point
+        (3^depth for a gasket), so count points with len(cloud.xs)."""
         return tuple(zip(self.xs, self.ys))
 
     def to_json_dict(self) -> dict:
@@ -141,6 +142,7 @@ def translation_point(q, t_seq: Seq) -> tuple[float, float]:
 
 LAYER_COLORS = {"E": "#999999", "E_plus_t": "#5b8def", "intersection": "#d62728"}
 _CANVAS = 600.0
+_SVG_CHUNK = 4096  # circles encoded and written at a time
 
 
 def require_raster_size(size: int) -> None:
@@ -161,10 +163,12 @@ def _frame(clouds) -> tuple[float, float, float]:
     return lo, hi, hi - lo
 
 
-def _write(path: str, data: bytes) -> None:
+def _write(path: str, chunks) -> None:
+    """Write the byte chunks to path in turn; an OSError from opening or
+    writing becomes a DomainError."""
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
 
@@ -173,15 +177,19 @@ def emit_svg(clouds, path: str) -> None:
     """Deterministic SVG: one layer group per cloud, circles of cylinder radius.
 
     Digit parts lie in {0, 1}, so a depth-d cloud has at most 2^d distinct x
-    and y values against 3^d points: each is formatted once per cloud.
+    and y values against 3^d points: each is formatted once per cloud. The
+    circles go to the file _SVG_CHUNK points at a time, so memory does not
+    grow with the document.
     """
     lo, _hi, span = _frame(clouds)
-    scale = _CANVAS / span
-    parts = [
+    _write(path, _svg_chunks(clouds, lo, _CANVAS / span))
+
+
+def _svg_chunks(clouds, lo: float, scale: float):
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_CANVAS)}" '
         f'height="{int(_CANVAS)}" viewBox="0 0 {int(_CANVAS)} {int(_CANVAS)}">\n'
-        '<rect width="100%" height="100%" fill="#ffffff"/>\n',
-    ]
+        '<rect width="100%" height="100%" fill="#ffffff"/>\n').encode("ascii")
     for cloud in clouds:
         color = LAYER_COLORS.get(cloud.kind, "#000000")
         # half a cylinder diameter, floored so deep levels stay visible
@@ -189,12 +197,15 @@ def emit_svg(clouds, path: str) -> None:
         tail = f'" r="{radius:.9f}"/>\n'
         cx = {x: f'<circle cx="{(x - lo) * scale:.9f}" cy="' for x in set(cloud.xs)}
         cy = {y: f"{_CANVAS - (y - lo) * scale:.9f}{tail}" for y in set(cloud.ys)}
-        parts.append(f'<g fill="{color}" data-layer="{cloud.kind}">\n')
-        parts.append("".join(chain.from_iterable(
-            zip(map(cx.__getitem__, cloud.xs), map(cy.__getitem__, cloud.ys)))))
-        parts.append("</g>\n")
-    parts.append("</svg>\n")
-    _write(path, "".join(parts).encode("ascii"))
+        yield f'<g fill="{color}" data-layer="{cloud.kind}">\n'.encode("ascii")
+        xs, ys = cloud.xs, cloud.ys
+        for k in range(0, len(xs), _SVG_CHUNK):
+            # one str join per chunk: a bytes join would allocate per item
+            yield "".join(chain.from_iterable(zip(
+                map(cx.__getitem__, xs[k:k + _SVG_CHUNK]),
+                map(cy.__getitem__, ys[k:k + _SVG_CHUNK])))).encode("ascii")
+        yield b"</g>\n"
+    yield b"</svg>\n"
 
 
 def emit_ppm(clouds, path: str, size: int = 512) -> None:
@@ -224,4 +235,4 @@ def emit_ppm(clouds, path: str, size: int = 512) -> None:
     body = bytearray(3 * len(raster))
     for ch in range(3):
         body[ch::3] = raster.translate(bytes(c[ch] for c in rgb).ljust(256, b"\0"))
-    _write(path, f"P6\n{size} {size}\n255\n".encode("ascii") + body)
+    _write(path, (f"P6\n{size} {size}\n255\n".encode("ascii"), body))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Any
 
 from . import __version__
 
@@ -47,7 +46,7 @@ def decimal_str(x: Fraction, digits: int = 40) -> str:
     return "".join(out)
 
 
-def jsonable(obj: Any) -> Any:
+def jsonable(obj: object) -> object:
     """Recursively convert reports to JSON-ready values (Fractions to 'p/q')."""
     if isinstance(obj, Fraction):
         return fraction_str(obj)
@@ -62,7 +61,7 @@ def jsonable(obj: Any) -> Any:
     return obj
 
 
-def canonical_json_bytes(obj: Any) -> bytes:
+def canonical_json_bytes(obj: object) -> bytes:
     """Stable bytes: sorted keys, fixed separators, trailing newline."""
     text = json.dumps(jsonable(obj), sort_keys=True, ensure_ascii=True,
                       indent=2, separators=(",", ": "))
@@ -72,7 +71,7 @@ def canonical_json_bytes(obj: Any) -> bytes:
 class Report:
     __slots__ = ("command", "inputs", "result", "timing_ms", "version", "schema")
 
-    def __init__(self, command: str, inputs: dict, result: Any, timing_ms: int = 0,
+    def __init__(self, command: str, inputs: dict, result: object, timing_ms: int = 0,
                  version: str = __version__, schema: str = SCHEMA_VERSION):
         self.command = command
         self.inputs = inputs

@@ -8,8 +8,8 @@ decidable.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from functools import cache
-from typing import Callable, Iterable
 
 from .errors import DomainError, ResourceLimitError
 

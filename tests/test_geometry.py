@@ -6,6 +6,7 @@ import gc
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ import pytest
 
 from gasket_spectrum.errors import DomainError, ResourceLimitError
 from gasket_spectrum.geometry import (
+    _SVG_CHUNK,
     PointCloud,
     branch_set,
     build_gasket,
@@ -221,11 +223,48 @@ def test_svg_mixed_bases_rejected(tmp_path):
     with pytest.raises(DomainError):
         emit_svg([build_gasket("2.5", 2), build_gasket("2.6", 2)],
                  str(tmp_path / "x.svg"))
+    assert not (tmp_path / "x.svg").exists()  # rejected before the file opens
 
 
 def test_svg_write_error_has_context():
     with pytest.raises(DomainError, match="cannot write"):
         emit_svg([build_gasket("2.5", 1)], "/nonexistent-dir/x.svg")
+
+
+@pytest.mark.parametrize("emit", [emit_svg, emit_ppm])
+def test_unwritable_path_raises_domain_error(tmp_path, emit):
+    clouds = [build_gasket("2.5", 8)]  # more circles than one SVG chunk
+    for path in (tmp_path / "missing" / "x.out", tmp_path):  # open fails
+        with pytest.raises(DomainError, match="cannot write"):
+            emit(clouds, str(path))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("emit", [emit_svg, emit_ppm])
+def test_failed_write_raises_domain_error(emit):
+    # /dev/full opens, then every write fails with ENOSPC
+    with pytest.raises(DomainError, match="cannot write"):
+        emit([build_gasket("2.5", 8)], "/dev/full")
+
+
+def test_svg_emission_memory_does_not_grow_with_the_document(tmp_path):
+    # Circles go out a chunk at a time: the 2.5 MB document is never held
+    # whole, as a list of parts, one str or its bytes.
+    q, t = "2.5", e_seq(1, 1, 2)
+    clouds = [build_gasket(q, 9),
+              build_gasket(q, 9, translate=translation_point(q, t), kind="E_plus_t"),
+              build_intersection(q, t, 9)]
+    path = tmp_path / "deep.svg"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        emit_svg(clouds, str(path))
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2_500_000
+    assert extra < 1_500_000, extra
 
 
 def test_ppm_output(tmp_path):
@@ -270,7 +309,23 @@ def test_emitters_match_reference(tmp_path):
         ys = tuple(y for _, y in points)
         return PointCloud(kind, qf, depth, xs, ys)
 
-    qf = build_gasket("2.5", 1).q
+    q = "2.5"
+    shift = translation_point(q, t)
+    for depth in (8, 9):
+        # several SVG chunks per gasket layer, the last one partial
+        clouds = [build_gasket(q, depth),
+                  build_gasket(q, depth, translate=shift, kind="E_plus_t"),
+                  build_intersection(q, t, depth)]
+        assert len(clouds[0].xs) % _SVG_CHUNK > 0
+        assert_same_bytes(clouds, (64, 512))
+
+    qf = build_gasket(q, 1).q
+    for n in (_SVG_CHUNK - 1, _SVG_CHUNK, _SVG_CHUNK + 1, 2 * _SVG_CHUNK):
+        # chunk-sized and chunk-multiple layers end on a chunk boundary
+        points = [((k % 61) / 50 - 0.2, (k % 67) / 40 - 0.3) for k in range(n)]
+        assert_same_bytes([cloud("E", 9, points), cloud("intersection", 9, points[::-1])],
+                          (64,))
+
     odd = cloud("E", 3, (
         (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.3, 0.3),
         (-5.0, 0.5), (5.0, 0.5), (0.5, -5.0), (0.5, 5.0), (1e9, -1e9)))
