@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 from .bases import DEFAULT_TOLERANCE, _check_tolerance
@@ -74,6 +73,7 @@ def load_config(
 
     path = config_path or env.get("GS_CONFIG")
     if path:
+        import json  # here, so a run without a config file never loads it
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)

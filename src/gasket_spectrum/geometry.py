@@ -83,29 +83,48 @@ def cylinder_tree(q, t_seq: Seq, depth: int) -> CylinderTree:
     return CylinderTree(q=b.value, depth=depth, branch_sets=sets)
 
 
+def _column(vals: list, steps: list, shift: float) -> list:
+    """One coordinate column one level deeper: entry k * len(steps) + j is
+    vals[k] + steps[j] (+ shift).
+
+    Each step makes one part, and the parts are interleaved by slice
+    assignment. With vals >= +0.0, x + 0.0 is x bit for bit, so a zero step
+    reuses vals itself (or vals + shift, computed once) and adds nothing.
+    """
+    if shift:
+        moved = [x + shift for x in vals]
+        parts = [moved if not s else [x + s + shift for x in vals] for s in steps]
+    else:
+        parts = [vals if not s else [x + s for x in vals] for s in steps]
+    if len(parts) == 1:
+        return parts[0]
+    out = [0.0] * (len(vals) * len(parts))
+    for j, part in enumerate(parts):
+        out[j::len(parts)] = part
+    return out
+
+
 def _digit_points(q: float, levels, translate=(0.0, 0.0)) -> tuple[tuple, tuple]:
     """Columns (xs, ys) of the points sum_i a_i q^-i (+ translate), one per
     digit tuple in the product of the per-level digit sets, in lexicographic
     digit order.
 
     Built level by level: each point of level i-1 gets the term a_i q^-i of
-    each digit a in level i's set. The sums take the same float additions in
-    the same order as digit-by-digit evaluation, so the points are identical.
-    Flat float columns hold no per-point container for the collector to track.
+    each digit a in level i's set, and the translation is added last, as
+    (x + a_d q^-d) + t. Gasket digits are 0 or 1, so the partial sums start
+    at +0.0 and never fall below it; adding a zero term then leaves a sum
+    unchanged, and _column skips it and shares the float. The sums are those
+    of digit-by-digit evaluation, bit for bit, and a gasket column holds
+    about half as many distinct floats as points. Flat float columns hold no
+    per-point container for the collector to track.
     """
     xs, ys = [0.0], [0.0]
     last = len(levels)
+    tx, ty = translate
     for i, digits in enumerate(levels, start=1):
         w = q ** -i
-        step_x = [dx * w for dx, _ in digits]
-        step_y = [dy * w for _, dy in digits]
-        if i == last and translate != (0.0, 0.0):
-            tx, ty = translate
-            xs = [x + sx + tx for x in xs for sx in step_x]
-            ys = [y + sy + ty for y in ys for sy in step_y]
-        else:
-            xs = [x + sx for x in xs for sx in step_x]
-            ys = [y + sy for y in ys for sy in step_y]
+        xs = _column(xs, [dx * w for dx, _ in digits], tx if i == last else 0.0)
+        ys = _column(ys, [dy * w for _, dy in digits], ty if i == last else 0.0)
     return tuple(xs), tuple(ys)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -63,6 +62,7 @@ def jsonable(obj: object) -> object:
 
 def canonical_json_bytes(obj: object) -> bytes:
     """Stable bytes: sorted keys, fixed separators, trailing newline."""
+    import json  # here, so text-mode commands never load it
     text = json.dumps(jsonable(obj), sort_keys=True, ensure_ascii=True,
                       indent=2, separators=(",", ": "))
     return (text + "\n").encode("utf-8")

@@ -493,14 +493,15 @@ def test_cli_import_loads_no_code_generation_or_unused_modules():
     # The records are plain classes, so importing the CLI needs neither
     # dataclasses nor the inspect machinery it pulls in; geometry and the
     # selftest battery load only for the commands that use them. Annotations
-    # are never evaluated, so typing is not needed either.
+    # are never evaluated, so typing is not needed either, and json loads only
+    # where JSON is written or a config file read.
     import subprocess
     import sys
 
     import gasket_spectrum
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(gasket_spectrum.__file__)))
-    unwanted = ("dataclasses", "inspect", "typing", "gasket_spectrum.geometry",
+    unwanted = ("dataclasses", "inspect", "typing", "json", "gasket_spectrum.geometry",
                 "gasket_spectrum.selftest")
     script = ("import sys, gasket_spectrum.cli\n"
               f"print(sorted(m for m in {unwanted!r} if m in sys.modules))\n")

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import math
 import os
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +27,14 @@ from gasket_spectrum.geometry import (
     emit_svg,
     translation_point,
 )
-from gasket_spectrum.matching import OMEGA1, OMEGA2, e_seq
-from gasket_spectrum.words import Seq
+from gasket_spectrum.matching import OMEGA1, OMEGA2, e_seq, zip_seqs
+from gasket_spectrum.words import Seq, parse_seq
 
 from helpers import digit_points, reference_emit_ppm, reference_emit_svg
+
+# The matched translations (coordinate literals) the render benchmark draws.
+BENCH_TRANSLATIONS = (("+0-0^inf", "0;+0-0^inf"), ("0+0-^inf", "00-+^inf"),
+                      ("0-+00^inf", "+00-0^inf"))
 
 
 def _random_pair_seq(rng: random.Random, period_len: int) -> Seq:
@@ -75,20 +82,45 @@ def test_gasket_counts_and_distinct():
         assert len(set(cloud.points)) == 3 ** depth
 
 
+def _hexes(points) -> list:
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(x.hex(), y.hex()) for x, y in points]
+
+
 def test_level_by_level_points_equal_digit_sums():
-    # Bit for bit, so the SVG/PPM bytes do not depend on how points are built.
+    # Bit for bit, so the SVG/PPM bytes do not depend on how points are built
+    # or which float objects they share. Depths 9 and 10 run the reuse of
+    # zero steps over many levels.
     rng = random.Random(11)
-    t = e_seq(1, 1, 2)  # matched; branch sets of size 3 and 1 alternate
-    for q in ("2.25", "2.5", "2.9"):
-        for depth in (1, 4, 7):
-            cloud = build_gasket(q, depth)
-            assert cloud.points == digit_points(cloud.q, product(OMEGA1, repeat=depth))
-            shift = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert build_gasket(q, depth, translate=shift).points == \
-                digit_points(cloud.q, product(OMEGA1, repeat=depth), shift)
+    pairs = [e_seq(1, 1, 2)]  # matched; branch sets of size 3 and 1 alternate
+    pairs += [zip_seqs(parse_seq(x), parse_seq(y)) for x, y in BENCH_TRANSLATIONS]
+    cases = [(q, depth) for q in ("2.25", "2.5", "2.9", "2.999") for depth in (1, 4, 7, 9)]
+    cases.append(("2.999", 10))  # one base only: ~0.25 s of reference sums per cloud
+    for q, depth in cases:
+        shifts = ((0.0, 0.0), (rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                  (0.3, 0.0), (-1e-17, 0.5))
+        for shift in shifts:
+            cloud = build_gasket(q, depth, translate=shift)
+            want = digit_points(cloud.q, product(OMEGA1, repeat=depth), shift)
+            assert _hexes(zip(cloud.xs, cloud.ys)) == _hexes(want), (q, depth, shift)
+        for t in pairs:
             tree = cylinder_tree(q, t, depth)
-            assert build_intersection(q, t, depth).points == \
-                digit_points(tree.q, product(*tree.branch_sets))
+            cloud = build_intersection(q, t, depth)
+            want = digit_points(tree.q, product(*tree.branch_sets))
+            assert _hexes(zip(cloud.xs, cloud.ys)) == _hexes(want), (q, depth, t)
+
+
+def test_gasket_columns_share_zero_step_floats():
+    # Each level makes new floats for its one nonzero step only, one per point
+    # of the level before; its zero steps reuse that level's floats. A
+    # translated last level makes x + t once for both zero steps and x + s + t
+    # for the nonzero one: 2 * 3^8 floats. Summing every point afresh makes 3^9.
+    untranslated = build_gasket("2.5", 9)
+    translated = build_gasket("2.5", 9, translate=(0.123456789, -0.3217))
+    for column in (untranslated.xs, untranslated.ys):
+        assert len({id(x) for x in column}) <= (3 ** 9 + 1) // 2
+    for column in (translated.xs, translated.ys):
+        assert len({id(x) for x in column}) <= 2 * 3 ** 8
 
 
 def test_point_columns_track_no_per_point_objects():
@@ -265,6 +297,28 @@ def test_svg_emission_memory_does_not_grow_with_the_document(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 2_500_000
     assert extra < 1_500_000, extra
+
+
+def test_renders_match_bench_pins(tmp_path):
+    # The benchmark pins the SVG and PPM digests of every render it runs; a
+    # byte change at depth 9 fails here too. Keys read "<q> <x> <y> <depth>",
+    # and the benchmark's rasters are 512 pixels a side.
+    pins = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json")
+                      .read_text())["render"]
+    keys = [key for key in pins if key.split()[3] == "9"]
+    assert len(keys) == 12
+    assert {tuple(key.split()[1:3]) for key in keys} == set(BENCH_TRANSLATIONS)
+    svg, ppm = tmp_path / "pin.svg", tmp_path / "pin.ppm"
+    for key in keys:
+        q, x, y, _depth = key.split()
+        pair = zip_seqs(parse_seq(x), parse_seq(y))
+        clouds = [build_gasket(q, 9),
+                  build_gasket(q, 9, translate=translation_point(q, pair), kind="E_plus_t"),
+                  build_intersection(q, pair, 9)]
+        emit_svg(clouds, str(svg))
+        emit_ppm(clouds, str(ppm), 512)
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == pins[key]["svg"], key
+        assert hashlib.sha256(ppm.read_bytes()).hexdigest() == pins[key]["ppm"], key
 
 
 def test_ppm_output(tmp_path):
