@@ -129,18 +129,14 @@ def _parse_base(text: str, config: RunConfig) -> bases.BaseValue:
     return bases.as_base_value(text)
 
 
-def _parse_value(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse value {text!r}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies: each returns (result, text_lines)
 # ---------------------------------------------------------------------------
 
 def _cmd_bases(args, config):
+    if args.bases_max_n > bases.MAX_LADDER_INDEX:  # the row past the cap fails before any root
+        raise PrecisionError(
+            f"ladder index {bases.MAX_LADDER_INDEX + 1} exceeds cap {bases.MAX_LADDER_INDEX}")
     rows = []
     prev_mid = None
     for n in range(1, args.bases_max_n + 1):
@@ -178,7 +174,7 @@ def _cmd_classify(args, config):
 
 def _cmd_expand(args, config):
     q = _parse_base(args.q, config)
-    x = _parse_value(args.x)
+    x = bases.parse_rational(args.x, "value")
     digits = expansions.greedy_expand(x, q, args.depth)
     partial = expansions.evaluate_exact(Seq(digits, (0,)), q.midpoint) if digits else Fraction(0)
     result = {

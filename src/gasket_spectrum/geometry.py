@@ -31,15 +31,6 @@ def branch_set(t) -> tuple:
     return BRANCH_TABLE[t]
 
 
-class CylinderTree(Immutable):
-    __slots__ = ("q", "depth", "branch_sets")
-
-    def __init__(self, q: float, depth: int, branch_sets: tuple):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "branch_sets", branch_sets)
-
-
 class PointCloud(Immutable):
     """Points as two coordinate columns of floats: point k is (xs[k], ys[k])."""
 
@@ -68,19 +59,6 @@ def _check_depth(depth: int) -> None:
         raise DomainError("depth must be positive")
     if depth > MAX_RENDER_DEPTH:
         raise ResourceLimitError(f"depth {depth} exceeds cap {MAX_RENDER_DEPTH}")
-
-
-def cylinder_tree(q, t_seq: Seq, depth: int) -> CylinderTree:
-    """Branch sets of the intersection cylinder along the first depth digits."""
-    b = require_working_base(as_base_value(q))
-    _check_depth(depth)
-    report = analyze(t_seq)
-    if not report.matched:
-        raise DomainError(
-            "translation expansion is not matched; the intersection is empty "
-            f"(violation at position {report.first_violation_index})")
-    sets = tuple(branch_set(t_seq.digit(i)) for i in range(1, depth + 1))
-    return CylinderTree(q=b.value, depth=depth, branch_sets=sets)
 
 
 def _column(vals: list, steps: list, shift: float) -> list:
@@ -139,10 +117,19 @@ def build_gasket(q, depth: int, translate: tuple[float, float] = (0.0, 0.0),
 
 
 def build_intersection(q, t_seq: Seq, depth: int) -> PointCloud:
-    """Points of the intersection cylinder set at the given depth."""
-    tree = cylinder_tree(q, t_seq, depth)
-    xs, ys = _digit_points(tree.q, tree.branch_sets)
-    return PointCloud(kind="intersection", q=tree.q, depth=depth, xs=xs, ys=ys)
+    """Points of the intersection cylinder set at the given depth: the product
+    of the branch sets of t_seq's first depth digits, all admissible once
+    t_seq is matched."""
+    b = require_working_base(as_base_value(q))
+    _check_depth(depth)
+    report = analyze(t_seq)
+    if not report.matched:
+        raise DomainError(
+            "translation expansion is not matched; the intersection is empty "
+            f"(violation at position {report.first_violation_index})")
+    sets = [BRANCH_TABLE[t_seq.digit(i)] for i in range(1, depth + 1)]
+    xs, ys = _digit_points(b.value, sets)
+    return PointCloud(kind="intersection", q=b.value, depth=depth, xs=xs, ys=ys)
 
 
 def translation_point(q, t_seq: Seq) -> tuple[float, float]:
@@ -228,8 +215,8 @@ def _svg_chunks(clouds, lo: float, scale: float):
 
 
 def emit_ppm(clouds, path: str, size: int = 512) -> None:
-    """Binary PPM raster. Pixel mapping: column = floor((x - lo) / span * (size - 1)),
-    row counted from the top with y increasing upward.
+    """Binary PPM raster. Pixel mapping: column = int((x - lo) / span * (size - 1)),
+    truncated toward zero, row counted from the top with y increasing upward.
 
     Columns and rows are computed once per distinct coordinate; each cloud
     paints palette indices in turn, so a later cloud wins.

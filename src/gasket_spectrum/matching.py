@@ -229,15 +229,11 @@ def verify_shift_trichotomy(n: int) -> VerifierReport:
     )
 
 
-def _bump_word(n: int, variant: str) -> Word:
+def _bump_word(n: int) -> Word:
     """The bumped period of check 3.2, e + inc_last(reflect(e)) + reflect(e)
-    + e with e = block(n): by the doubling rule that is block(n+2), and the
-    "minus" variant lowers its last digit."""
-    if variant == "minus":
-        return dec_last(tm_block(n + 2))
-    if variant == "plain":
-        return tm_block(n + 2)
-    raise DomainError(f"variant must be 'minus' or 'plain', not {variant!r}")
+    + e with e = block(n): by the doubling rule that is block(n+2). The
+    "minus" variant lowers its last digit, which the check never reads."""
+    return tm_block(n + 2)
 
 
 def b_blocks(n: int) -> tuple[Word, Word, Word, Word]:
@@ -245,7 +241,8 @@ def b_blocks(n: int) -> tuple[Word, Word, Word, Word]:
     minus and plain bump words, then their reflections."""
     if n < 1:
         raise DomainError("scale must be >= 1")
-    b1, b2 = _bump_word(n, "minus"), _bump_word(n, "plain")
+    b2 = _bump_word(n)
+    b1 = dec_last(b2)
     return b1, b2, reflect(b1), reflect(b2)
 
 
@@ -325,23 +322,25 @@ def verify_bump_witnesses(n: int, variant: str = "minus") -> VerifierReport:
     """Check "3.2": pairing the shifted scale-n period against the bumped
     four-block period always shows (1,1) or (-1,-1) at some position
     u in (0, 2^(n+2)) other than 2^(n+1); at the half-period shift the
-    witness sits at position 2^(n+1)+1 with term (-1,-1)."""
+    witness sits at position 2^(n+1)+1 with term (-1,-1).
+
+    One search decides both variants: their words differ only at position
+    2^(n+2), which no clause reads (_first_witnesses zeroes it)."""
     if n < 3:
         raise DomainError("the bump check needs scale >= 3")
     _require_scale("3.2", n)
+    if variant not in ("minus", "plain"):
+        raise DomainError(f"variant must be 'minus' or 'plain', not {variant!r}")
     x = block_word(n)
-    y = _bump_word(n, variant)
-    lx, ly = len(x), len(y)
+    y = _bump_word(n)
     skip = 2 ** (n + 1)
     shifts = list(enumerate(_first_witnesses(x, y, skip)))[1:]
     witnesses = [{"i": i, "u": hit[0], "term": [hit[1], hit[1]]} for i, hit in shifts if hit]
     counterexamples = [{"i": i, "reason": "no witness position"} for i, hit in shifts if not hit]
     # Half-period shift: the position right after the skipped index pairs the
     # reflected block against itself, so its first term must be (-1,-1).
-    i = 2 ** n
-    u = skip + 1
-    a = x[(u - 1 + i) % lx]
-    b = y[(u - 1) % ly]
+    i, u = 2 ** n, skip + 1
+    a, b = x[(u - 1 + i) % len(x)], y[u - 1]
     if (a, b) != (-1, -1):
         counterexamples.append(
             {"i": i, "u": u, "term": [a, b], "reason": "half-shift witness wrong"}

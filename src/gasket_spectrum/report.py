@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+import math
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 from . import __version__
@@ -16,12 +17,18 @@ def fraction_str(x: Fraction) -> str:
 
 def float_str(x: Fraction) -> str:
     """x as a float where a float holds it, else to 17 significant digits:
-    1e400 overflows a float and 1e-400 rounds to 0.0."""
+    1e400 overflows a float and 1e-400 rounds to 0.0. Out of float range,
+    q, r = divmod(n 10^s, d) for |x| = n/d has 18 to 20 digits, and q with a
+    last digit 1 if r > 0 rounds as x does: one power of ten, no Decimal of n."""
     if x == 0 or 1e-300 < abs(x) < 1e300:
         return str(float(x))
+    n, d = abs(x.numerator), x.denominator
+    b = n.bit_length() - d.bit_length()  # 2^(b-1) < n/d < 2^(b+1)
+    s = 18 - math.floor((b - 1) * math.log10(2))
+    q, r = divmod(n * 10 ** s, d) if s >= 0 else divmod(n, d * 10 ** -s)
     with localcontext() as ctx:
-        ctx.prec = 17
-        return str((Decimal(x.numerator) / x.denominator).normalize())
+        ctx.prec, ctx.Emax, ctx.Emin = 17, MAX_EMAX, MIN_EMIN
+        return str(Decimal(f"{'-' if x < 0 else ''}{10 * q + (r > 0)}E{-s - 1}").normalize())
 
 
 def decimal_str(x: Fraction, digits: int = 40) -> str:
@@ -53,8 +60,6 @@ def jsonable(obj: object) -> object:
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        return obj
     if hasattr(obj, "to_json_dict"):
         return jsonable(obj.to_json_dict())
     return obj
@@ -69,16 +74,13 @@ def canonical_json_bytes(obj: object) -> bytes:
 
 
 class Report:
-    __slots__ = ("command", "inputs", "result", "timing_ms", "version", "schema")
+    __slots__ = ("command", "inputs", "result", "timing_ms")
 
-    def __init__(self, command: str, inputs: dict, result: object, timing_ms: int = 0,
-                 version: str = __version__, schema: str = SCHEMA_VERSION):
+    def __init__(self, command: str, inputs: dict, result: object, timing_ms: int = 0):
         self.command = command
         self.inputs = inputs
         self.result = result
         self.timing_ms = timing_ms
-        self.version = version
-        self.schema = schema
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,8 +88,8 @@ class Report:
             "inputs": self.inputs,
             "result": self.result,
             "timing_ms": self.timing_ms,
-            "version": self.version,
-            "schema": self.schema,
+            "version": __version__,
+            "schema": SCHEMA_VERSION,
         }
 
     def to_bytes(self) -> bytes:

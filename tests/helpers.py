@@ -266,11 +266,14 @@ def scalar_bump_witnesses(n: int, variant: str = "minus") -> matching.VerifierRe
     """The bump check "3.2" by one digit comparison per position per shift:
     the reference report that matching.verify_bump_witnesses must reproduce
     byte for byte. The words come through the matching module, so a test
-    that patches them there patches both."""
+    that patches them there patches both; the "minus" word is built here, by
+    lowering the last digit of the plain one."""
     if n < 3:
         raise DomainError("the bump check needs scale >= 3")
     x = matching.block_word(n)
-    y = matching._bump_word(n, variant)
+    y = matching._bump_word(n)
+    if variant == "minus":
+        y = dec_last(y)
     lx, ly = len(x), len(y)
     skip = 2 ** (n + 1)
     witnesses = []

@@ -103,6 +103,39 @@ def test_base_beyond_float_range_is_domain_error(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_huge_decimal_exponents_exit_1_in_bounded_time():
+    # Near the exponent cap the value costs one power of ten to build and to
+    # print; past it the literal is refused unbuilt. Uncapped, the exact
+    # 10^k and its Decimal formatting run for minutes, or do not finish.
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    expand = ["expand", "--q", "2.5"]
+    cases = ((["classify", "--q", "1e1000000"], "[1E+1000000, 1E+1000000]"),
+             (["classify", "--q", "25e-1000000"], "[2.5E-999999, 2.5E-999999]"),
+             (["classify", "--q", "1e999999999"], "beyond the cap of +-1000000"),
+             (expand + ["--x", "1e1000000"], "1E+1000000 is outside the representable"),
+             (expand + ["--x", "1e999999999"], "beyond the cap of +-1000000"),
+             (expand + ["--x=-1e-999999999"], "beyond the cap of +-1000000"))
+    for argv, shown in cases:
+        proc = subprocess.run([sys.executable, "-m", "gasket_spectrum.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=15)
+        assert proc.returncode == 1 and shown in proc.stdout, (argv, proc.stderr)
+    code, _ = run_cli(expand + ["--x", "1e-1000000"])  # at the cap: still a value
+    assert code == 0
+
+
+def test_bases_past_the_ladder_cap_fails_before_any_root(monkeypatch):
+    calls = []
+    real = bases.base_root
+    monkeypatch.setattr(bases, "base_root", lambda *a: calls.append(a) or real(*a))
+    code, text = run_cli(["bases", "--max-n", "25"])
+    assert code == 3 and "error: ladder index 25 exceeds cap 24" in text
+    assert calls == []
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli(["no-such-command"])
     assert code == 2

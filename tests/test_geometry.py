@@ -22,7 +22,6 @@ from gasket_spectrum.geometry import (
     branch_set,
     build_gasket,
     build_intersection,
-    cylinder_tree,
     emit_ppm,
     emit_svg,
     translation_point,
@@ -104,9 +103,9 @@ def test_level_by_level_points_equal_digit_sums():
             want = digit_points(cloud.q, product(OMEGA1, repeat=depth), shift)
             assert _hexes(zip(cloud.xs, cloud.ys)) == _hexes(want), (q, depth, shift)
         for t in pairs:
-            tree = cylinder_tree(q, t, depth)
             cloud = build_intersection(q, t, depth)
-            want = digit_points(tree.q, product(*tree.branch_sets))
+            sets = [branch_set(t.digit(i)) for i in range(1, depth + 1)]
+            want = digit_points(cloud.q, product(*sets))
             assert _hexes(zip(cloud.xs, cloud.ys)) == _hexes(want), (q, depth, t)
 
 
@@ -216,9 +215,9 @@ def test_translation_point_matches_coordinate_values():
 
 def test_cylinder_tree_structure():
     t = e_seq(1, 1, 2)
-    tree = cylinder_tree("2.5", t, 8)
-    assert len(tree.branch_sets) == 8
-    for i, s in enumerate(tree.branch_sets, start=1):
+    sets = [branch_set(t.digit(i)) for i in range(1, 9)]
+    assert len(build_intersection("2.5", t, 8).xs) == math.prod(len(s) for s in sets)
+    for i, s in enumerate(sets, start=1):
         assert len(s) == (3 if t.digit(i) == (0, 0) else 1)
 
 

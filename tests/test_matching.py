@@ -237,8 +237,8 @@ def test_bump_no_witness_counterexamples_match_scalar_reference(monkeypatch):
     # witness, and moves the half-shift term off (-1,-1).
     real = matching._bump_word
 
-    def sparse(n, variant):
-        y = real(n, variant)
+    def sparse(n):
+        y = real(n)
         return y[: len(y) // 4] + (0,) * (len(y) - len(y) // 4)
     monkeypatch.setattr(matching, "_bump_word", sparse)
     for n in (3, 6, 9):
@@ -282,7 +282,7 @@ def test_bump_witnesses_plain_variant():
 def test_bump_witness_preconditions():
     with pytest.raises(DomainError):
         verify_bump_witnesses(2, "minus")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="variant must be 'minus' or 'plain', not 'weird'"):
         verify_bump_witnesses(3, "weird")
 
 
@@ -326,8 +326,7 @@ def test_b_blocks_lengths_and_identity():
 def test_bump_words_and_b_blocks_match_four_block_reference():
     for n in range(1, 13):
         assert b_blocks(n) == four_block_b_blocks(n), n
-        for variant in ("minus", "plain"):
-            assert matching._bump_word(n, variant) == four_block_bump_word(n, variant), (n, variant)
+        assert matching._bump_word(n) == four_block_bump_word(n, "plain"), n
 
 
 def test_b_blocks_past_the_block_cap_raise():

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 from gasket_spectrum.report import (
     Report,
     canonical_json_bytes,
     decimal_str,
+    float_str,
     fraction_str,
     jsonable,
 )
@@ -50,3 +53,26 @@ def test_report_envelope_fields():
     assert payload["timing_ms"] == 0
     assert payload["schema"] == "1"
 
+
+
+def test_float_str_rounds_as_decimal_division_beyond_float_range():
+    # The reference divides in Decimal: exact, but it converts all of n and d.
+    def reference(x):
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = 17, MAX_EMAX, MIN_EMIN
+            return str((Decimal(x.numerator) / x.denominator).normalize())
+
+    rng = random.Random(5)
+    values = [Fraction(10) ** 400, Fraction(1, 10 ** 400), Fraction(1, 3) * 10 ** 500,
+              Fraction(10 ** 17 + 5) * 10 ** 400, Fraction(10 ** 17 + 15) * 10 ** 400,
+              Fraction(10 ** 18 - 5, 10 ** 420), Fraction(2) ** 1000, Fraction(1, 2 ** 1000)]
+    for _ in range(400):
+        e = rng.choice((1, -1)) * rng.randint(300, 2000)
+        m = Fraction(rng.randint(1, 10 ** rng.randint(1, 40)), rng.randint(1, 10 ** 20))
+        values.append(m * Fraction(10) ** e)
+    for x in values:
+        if not 1e-300 < abs(x) < 1e300:
+            assert float_str(x) == reference(x), x
+            assert float_str(-x) == reference(-x), x
+    assert float_str(Fraction(10) ** 1000000) == "1E+1000000"
+    assert float_str(Fraction(3, 2)) == "1.5"

@@ -195,8 +195,8 @@ def test_records_are_immutable():
     records = [
         bases.ladder_word(3), bases.as_base_value("2.5"), bases.classify("2.2"),
         config.RunConfig(), expansions.uniqueness_verdict(Seq((), (0,)), "2.5"),
-        expansions.KLTailDescriptor((1,), (1,)), geometry.cylinder_tree("2.5", t, 3),
-        geometry.build_gasket("2.5", 2), matching.analyze(t), spec,
+        expansions.KLTailDescriptor((1,), (1,)), geometry.build_gasket("2.5", 2),
+        matching.analyze(t), spec,
         spectrum.interval_witness(spec, (d1 + d2) / 2, 16),
         spectrum.spectrum_of("2.45").family, spectrum.spectrum_of("2.9").interval,
         spectrum.spectrum_of("2.2"),
