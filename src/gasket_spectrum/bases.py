@@ -46,6 +46,9 @@ LADDER_DIGITS_CAP = 460  # deepest enclosure, in decimal digits
 # Largest |decimal exponent| of a numeric literal: 10^k exactly is a k-digit
 # integer, built in ~0.3 s at k = 10^6 and ~11 s at 10^7 (2-vCPU host).
 MAX_DECIMAL_EXPONENT = 10 ** 6
+# Most coefficient digits of a decimal literal, the limit int() puts on a p/q
+# literal: at exponent -10^6, 130000 digits convert in ~3.5 s, 4300 in < 0.5 s.
+MAX_DECIMAL_DIGITS = 4300
 
 
 class LadderWord(Immutable):
@@ -122,8 +125,9 @@ class RegimeLabel(Immutable):
 
 def parse_rational(text: str, what: str) -> Fraction:
     """A p/q or decimal literal as an exact rational; what names it in errors.
-    A decimal exponent, in scientific notation, beyond +-MAX_DECIMAL_EXPONENT
-    is refused before the exact value is built."""
+    A decimal exponent, in scientific notation, beyond +-MAX_DECIMAL_EXPONENT,
+    or a coefficient of more than MAX_DECIMAL_DIGITS digits, is refused before
+    the exact value is built."""
     try:
         if "/" in text:
             return Fraction(text)
@@ -131,6 +135,10 @@ def parse_rational(text: str, what: str) -> Fraction:
         if d.is_finite() and abs(d.adjusted()) > MAX_DECIMAL_EXPONENT:
             raise DomainError(
                 f"decimal exponent of {text!r} lies beyond the cap of +-{MAX_DECIMAL_EXPONENT}")
+        digits = len(d.as_tuple().digits) if d.is_finite() else 0
+        if digits > MAX_DECIMAL_DIGITS:
+            raise DomainError(f"decimal coefficient of {digits} digits lies beyond "
+                              f"the cap of {MAX_DECIMAL_DIGITS}")
         return Fraction(d)
     except (ValueError, ArithmeticError) as exc:
         raise DomainError(f"cannot parse {what} {text!r}") from exc
@@ -157,8 +165,9 @@ def as_base_value(q) -> BaseValue:
 
 def require_working_base(b: BaseValue) -> BaseValue:
     if not (b.lo > 2 and b.hi < 3):
-        raise DomainError(
-            f"base enclosure [{float_str(b.lo)}, {float_str(b.hi)}] is not inside (2, 3)")
+        lo = float_str(b.lo)
+        hi = lo if b.hi == b.lo else float_str(b.hi)
+        raise DomainError(f"base enclosure [{lo}, {hi}] is not inside (2, 3)")
     return b
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import bases, expansions, matching, spectrum, words
 from .config import RunConfig, load_config
 from .errors import DomainError, GasketError, PrecisionError, ResourceLimitError
-from .report import Report, decimal_str, fraction_str
+from .report import decimal_str, fraction_str, report_bytes
 from .words import Seq, format_seq, format_word, parse_seq
 
 CHECK_RUNNERS = {
@@ -345,9 +345,7 @@ def run(argv, stdout=None) -> int:
     if fmt is None:
         fmt = getattr(args, "output_format", None) or "text"
     if fmt == "json":
-        report = Report(command=args.command, inputs=_inputs_dict(args),
-                        result=result, timing_ms=timing)
-        out.write(report.to_bytes().decode("utf-8"))
+        out.write(report_bytes(args.command, _inputs_dict(args), result, timing).decode("utf-8"))
     else:
         out.write(f"{args.command}:\n")
         for line in lines:

@@ -73,24 +73,8 @@ def canonical_json_bytes(obj: object) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-class Report:
-    __slots__ = ("command", "inputs", "result", "timing_ms")
-
-    def __init__(self, command: str, inputs: dict, result: object, timing_ms: int = 0):
-        self.command = command
-        self.inputs = inputs
-        self.result = result
-        self.timing_ms = timing_ms
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "timing_ms": self.timing_ms,
-            "version": __version__,
-            "schema": SCHEMA_VERSION,
-        }
-
-    def to_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_json_dict())
+def report_bytes(command: str, inputs: dict, result: object, timing_ms: int = 0) -> bytes:
+    """The canonical JSON envelope of one command's report."""
+    return canonical_json_bytes({"command": command, "inputs": inputs, "result": result,
+                                 "timing_ms": timing_ms, "version": __version__,
+                                 "schema": SCHEMA_VERSION})

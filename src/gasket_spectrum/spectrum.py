@@ -14,17 +14,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bases import RegimeLabel, as_base_value, classify
+from .bases import DEFAULT_TOLERANCE, RegimeLabel, as_base_value, classify, require_working_base
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import CapabilityError, DomainError, InternalConsistencyError
 from .expansions import KLTailDescriptor, is_unique_expansion, kl_tail
 from .matching import VerifierReport, analyze, b_blocks, zip_seqs
 from .words import Immutable, Seq, Word, reflect, tm_block
 
-# Transition matrix of the unique-expansion subshift, letter order (a, b, abar, bbar):
-# a -> {b, abar}, b -> {abar}, abar -> {a, bbar}, bbar -> {a}.
-SFT_MATRIX = ((0, 1, 1, 0), (0, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0))
-SFT_LETTER_ORDER = ("a", "b", "abar", "bbar")
+# The unique-expansion subshift as a successor table: letter -> letters that may follow.
+SFT_NEXT = {"a": ("b", "abar"), "b": ("abar",), "abar": ("a", "bbar"), "bbar": ("a",)}
 SFT_MAX_N = 12  # largest letter scale sft_spec tries
 
 
@@ -66,9 +64,7 @@ def block_density_check(max_n: int) -> VerifierReport:
 
 def dimension(q, density) -> float:
     """log 3 / log q times the zero-pair density."""
-    b = as_base_value(q)
-    if not (b.lo > 2 and b.hi < 3):
-        raise DomainError("base must lie inside (2, 3)")
+    b = require_working_base(as_base_value(q))
     d = float(density)
     if not 0 <= d <= 1:
         raise DomainError("density must lie in [0, 1]")
@@ -84,7 +80,7 @@ class SFTSpec(Immutable):
 
     def __init__(self, n: int, letters: dict):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", letters)  # name -> Word, names per SFT_LETTER_ORDER
+        object.__setattr__(self, "letters", letters)  # name -> Word, keyed as SFT_NEXT
 
 
 def sft_letters(n: int) -> dict:
@@ -98,15 +94,15 @@ def sft_letters(n: int) -> dict:
 
 
 def sft_letter_path_allowed(path: tuple[str, ...], cyclic: bool = True) -> bool:
-    idx = {name: i for i, name in enumerate(SFT_LETTER_ORDER)}
-    pairs = list(zip(path, path[1:]))
-    if cyclic:
-        pairs.append((path[-1], path[0]))
-    return all(SFT_MATRIX[idx[u]][idx[v]] == 1 for u, v in pairs)
+    nxt = path[1:] + path[:1] if cyclic else path[1:]
+    return all(v in SFT_NEXT[u] for u, v in zip(path, nxt))
 
 
 U1_PATHS = (("b", "abar", "bbar", "a"), ("bbar", "a", "b", "abar"))
 U2_PATHS = (("abar", "a"), ("a", "abar"))
+# The cycles sft_spec certifies: both coordinates of the two extremal cycles, plus
+# the two interleaved cycles that witness the cross junctions of interval_witness.
+SFT_CERTIFIED_CYCLES = U1_PATHS + U2_PATHS + tuple(u1 + u2 for u1, u2 in zip(U1_PATHS, U2_PATHS))
 
 
 def _path_word(letters: dict, path: tuple[str, ...]) -> Word:
@@ -123,27 +119,21 @@ def sft_pair_words(spec: SFTSpec) -> tuple[Seq, Seq]:
     return u1, u2
 
 
-def sft_spec(q, config: RunConfig = DEFAULT_CONFIG) -> SFTSpec:
-    """Smallest letter scale whose extremal cycles are unique expansions at q.
+def sft_spec(q, tolerance: float = DEFAULT_TOLERANCE) -> SFTSpec:
+    """Smallest letter scale whose SFT_CERTIFIED_CYCLES are unique expansions at q.
 
-    Certified words: both coordinates of the two extremal cycles, plus the
-    two interleaved cycles that witness the cross junctions used by the
-    interval construction. The admissibility oracle is the uniqueness check
-    itself; scales are not monotone (a scale can fail while a smaller and a
-    larger one pass), so the search walks n = 1, 2, ... up to the cap.
+    The admissibility oracle is the uniqueness check itself; scales are not
+    monotone (a scale can fail while a smaller and a larger one pass), so the
+    search walks n = 1, 2, ... up to the cap.
     """
     b = as_base_value(q)
-    label = classify(b, config.tolerance)
-    if label.kind != "interval":
+    if classify(b, tolerance).kind != "interval":
         raise DomainError("the subshift construction applies above the Komornik-Loreti base")
     failures = []
     for n in range(1, SFT_MAX_N + 1):
         letters = sft_letters(n)
-        paths = list(U1_PATHS + U2_PATHS)
-        paths.append(U1_PATHS[0] + U2_PATHS[0])
-        paths.append(U1_PATHS[1] + U2_PATHS[1])
-        words = [Seq((), _path_word(letters, p)) for p in paths]
-        if all(is_unique_expansion(w, b) for w in words):
+        if all(is_unique_expansion(Seq((), _path_word(letters, p)), b)
+               for p in SFT_CERTIFIED_CYCLES):
             return SFTSpec(n=n, letters=letters)
         failures.append(n)
     raise CapabilityError(
@@ -189,8 +179,7 @@ def interval_witness(spec: SFTSpec, target, length: int) -> WitnessPrefix:
         raise DomainError("length must be positive")
     u1, u2 = sft_pair_words(spec)
     w1, w2 = u1.period, u2.period
-    z1 = sum(1 for p in w1 if p == (0, 0))
-    z2 = sum(1 for p in w2 if p == (0, 0))
+    z1, z2 = int(d1 * len(w1)), int(d2 * len(w2))  # zero pairs per block
     pairs: list = []
     zeros = 0
     counts = [0, 0]
@@ -221,43 +210,31 @@ def kl_density_check(horizon: int,
                      scales: tuple[int, ...] = (1, 2, 3, 4, 5, 6)) -> VerifierReport:
     """Zero-frequency checks for the aperiodic tail family.
 
-    Confirms the exact block densities of the four concatenation blocks
-    (1/3 -+ 1/(3*2^(n+1)) and 1/3 +- 1/(3*2^(n+2)), sign depending on scale
-    parity) and measures the deviation |freq - 1/3| of sampled descriptor
-    prefixes at the horizon.
+    Confirms the exact zero densities of the four concatenation blocks of
+    scale n: alternating_density(n + 1) for B1 and B3, alternating_density(n + 2)
+    for B2 and B4. The family rows are measured statistics, the deviation
+    |freq - 1/3| of descriptor prefixes at the horizon; this check bounds none
+    of them, and only acceptance c07 and the selftest compare the j=1,l=1 row
+    with 1/384.
     """
     if horizon < 16:
         raise DomainError("horizon too small to be informative")
     counterexamples = []
     block_rows = []
     for n in scales:
-        b1, b2, b3, b4 = b_blocks(n)
-        d = {k: zero_fraction(w) for k, w in (("B1", b1), ("B2", b2), ("B3", b3), ("B4", b4))}
-        third = Fraction(1, 3)
-        if n % 2 == 1:
-            want = {"B1": third - Fraction(1, 3 * 2 ** (n + 1)),
-                    "B2": third + Fraction(1, 3 * 2 ** (n + 2))}
-        else:
-            want = {"B1": third + Fraction(1, 3 * 2 ** (n + 1)),
-                    "B2": third - Fraction(1, 3 * 2 ** (n + 2))}
-        want["B3"] = want["B1"]
-        want["B4"] = want["B2"]
-        for k in ("B1", "B2", "B3", "B4"):
-            if d[k] != want[k]:
-                counterexamples.append({"n": n, "block": k, "counted": d[k], "formula": want[k]})
-        block_rows.append({"n": n, **{k: d[k] for k in d}})
-    families = [
-        {"label": "j=1,l=1", "desc": KLTailDescriptor((1,), (1,), truncate=horizon)},
-        {"label": "j=0,l=1", "desc": KLTailDescriptor((0,), (1,), truncate=horizon)},
-        {"label": "j=2,l=01", "desc": KLTailDescriptor((2,), (0, 1), truncate=horizon)},
-        {"label": "j=13,l=10", "desc": KLTailDescriptor((1, 3), (1, 0), truncate=horizon)},
-    ]
+        row = {"n": n}
+        want = (alternating_density(n + 1), alternating_density(n + 2)) * 2
+        for k, w, formula in zip(("B1", "B2", "B3", "B4"), b_blocks(n), want):
+            row[k] = zero_fraction(w)
+            if row[k] != formula:
+                counterexamples.append({"n": n, "block": k, "counted": row[k], "formula": formula})
+        block_rows.append(row)
+    families = (("j=1,l=1", (1,), (1,)), ("j=0,l=1", (0,), (1,)),
+                ("j=2,l=01", (2,), (0, 1)), ("j=13,l=10", (1, 3), (1, 0)))
     family_rows = []
-    for fam in families:
-        word = kl_tail(fam["desc"])
-        freq = zero_fraction(word)
-        dev = abs(freq - Fraction(1, 3))
-        family_rows.append({"family": fam["label"], "freq": freq, "abs_dev": dev,
+    for label, j, l in families:
+        freq = zero_fraction(kl_tail(KLTailDescriptor(j, l, truncate=horizon)))
+        family_rows.append({"family": label, "freq": freq, "abs_dev": abs(freq - Fraction(1, 3)),
                             "horizon": horizon})
     return VerifierReport(
         check="kl-density",
@@ -308,14 +285,7 @@ class IntervalPart(Immutable):
         object.__setattr__(self, "containment_only", containment_only)
 
     def to_json_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "lo_density": self.lo_density,
-            "hi_density": self.hi_density,
-            "sft_n": self.sft_n,
-            "containment_only": self.containment_only,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class DimensionSpectrum(Immutable):
@@ -356,40 +326,16 @@ def spectrum_of(q, config: RunConfig = DEFAULT_CONFIG) -> DimensionSpectrum:
     b = as_base_value(q)
     label = classify(b, config.tolerance)
     log_ratio = math.log(3) / math.log(b.value)
+    isolated, family, interval = (0.0, log_ratio), None, None
     if label.kind == "finite":
-        m = label.m
-        terms = tuple(alternating_density(k) for k in range(1, m))
+        terms = tuple(alternating_density(k) for k in range(1, label.m))
         family = FamilyPart(terms, None, log_ratio) if terms else None
-        return DimensionSpectrum(
-            regime=label,
-            log_ratio=log_ratio,
-            isolated=(0.0, log_ratio),
-            family=family,
-            interval=None,
-        )
-    if label.kind == "komornik_loreti":
+    elif label.kind == "komornik_loreti":
         terms = tuple(alternating_density(k) for k in range(1, config.kl_terms + 1))
         family = FamilyPart(terms, Fraction(1, 3), log_ratio)
-        return DimensionSpectrum(
-            regime=label,
-            log_ratio=log_ratio,
-            isolated=(0.0, log_ratio, log_ratio / 3),
-            family=family,
-            interval=None,
-        )
-    spec = sft_spec(b, config)
-    d1, d2 = sft_densities(spec)
-    interval = IntervalPart(
-        lo=log_ratio * float(d1),
-        hi=log_ratio * float(d2),
-        lo_density=d1,
-        hi_density=d2,
-        sft_n=spec.n,
-    )
-    return DimensionSpectrum(
-        regime=label,
-        log_ratio=log_ratio,
-        isolated=(0.0, log_ratio),
-        family=None,
-        interval=interval,
-    )
+        isolated += (log_ratio / 3,)
+    else:
+        spec = sft_spec(b, config.tolerance)
+        d1, d2 = sft_densities(spec)
+        interval = IntervalPart(log_ratio * float(d1), log_ratio * float(d2), d1, d2, spec.n)
+    return DimensionSpectrum(label, log_ratio, isolated, family, interval)

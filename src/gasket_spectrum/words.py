@@ -214,8 +214,6 @@ def parse_word(text: str) -> Word:
         return tuple(digits)
     if all(ch in _PARSE for ch in text):
         return tuple(_PARSE[ch] for ch in text)
-    if all(ch in "01" for ch in text):
-        return tuple(int(ch) for ch in text)
     raise DomainError(f"cannot parse word {text!r}")
 
 

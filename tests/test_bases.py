@@ -178,6 +178,33 @@ def test_deep_ladder_sweep_is_fast():
     assert time.perf_counter() - started < 3
 
 
+def test_long_decimal_coefficient_refused_before_conversion():
+    # Converted, this literal costs ~3.5 s: int() caps p/q literals at 4300
+    # digits, and a decimal coefficient is capped the same way.
+    started = time.perf_counter()
+    with pytest.raises(DomainError,
+                       match="decimal coefficient of 130000 digits lies beyond the cap of 4300"):
+        bases.parse_rational("1" * 130000 + "e-1000000", "base")
+    assert time.perf_counter() - started < 0.5
+    ones = "1" * 4300
+    assert bases.parse_rational(ones + "e-4300", "base") == Fraction(int(ones), 10 ** 4300)
+    with pytest.raises(DomainError, match="4301 digits"):
+        bases.parse_rational("1" * 4301 + "e-4301", "base")
+
+
+def test_point_enclosure_outside_working_range_formatted_once(monkeypatch):
+    calls = []
+    real = bases.float_str
+    monkeypatch.setattr(bases, "float_str", lambda x: calls.append(x) or real(x))
+    with pytest.raises(DomainError,
+                       match=r"^base enclosure \[3\.5, 3\.5\] is not inside \(2, 3\)$"):
+        bases.require_working_base(as_base_value("3.5"))
+    assert calls == [Fraction(7, 2)]
+    with pytest.raises(DomainError, match=r"^base enclosure \[1\.5, 3\.5\] is not inside"):
+        bases.require_working_base(BaseValue(Fraction(3, 2), Fraction(7, 2)))
+    assert calls == [Fraction(7, 2), Fraction(3, 2), Fraction(7, 2)]
+
+
 def test_kl_enclosure_position():
     kl = kl_constant(1e-10)
     assert kl.is_kl

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import io
 import json
 import math
@@ -125,6 +126,53 @@ def test_huge_decimal_exponents_exit_1_in_bounded_time():
         assert proc.returncode == 1 and shown in proc.stdout, (argv, proc.stderr)
     code, _ = run_cli(expand + ["--x", "1e-1000000"])  # at the cap: still a value
     assert code == 0
+
+
+def test_long_decimal_coefficient_and_binary_word_exit_1():
+    literal = "1" * 130000 + "e-1000000"  # ~3.5 s to convert if it were accepted
+    for argv in (["classify", "--q", literal], ["expand", "--q", "2.5", "--x", literal]):
+        code, text = run_cli(argv)
+        assert code == 1 and "coefficient of 130000 digits lies beyond the cap of 4300" in text
+    code, text = run_cli(["unique", "--q", "2.5", "--seq", "10^inf"])
+    assert code == 1 and "error: cannot parse word '10'" in text
+
+
+# sha256 of the stdout bytes. The digests were taken before the subshift graph,
+# the block closed form and the spectrum assembly were restated, so a refactor
+# is checked against those bytes. The JSON envelopes carry the package version.
+OUTPUT_PINS = (
+    (["dq", "--q", "2.2", "--format", "json"],
+     "70d6f28dec4b319c23b99291ce72be612b2da812fd0870252afd3ada896a6808"),
+    (["dq", "--q", "2.2"], "a67b9b84fdf9e4d6059f8d51f8f90fe7805b2bc8d27f7eba87a4c0dde741b0f2"),
+    (["dq", "--q", "2.45", "--format", "json"],
+     "bd161b76a34d1e516dfa95374c66ae9481bae429da13d4187b4f5a56f0720b7b"),
+    (["dq", "--q", "2.45"], "bf9e5ea828e9ce347e458d430297a448bf9c0b453177579d54d240005463897f"),
+    (["dq", "--q", "kl", "--format", "json"],
+     "f616968c7e171f9bc2f50a5f0ba29bae4bff763a8c1c816a034f69c5643042d1"),
+    (["dq", "--q", "kl"], "5c34b3792ae62d1fc14088c33b53ff293ebac35743dd0343b7c75f51b1c392c5"),
+    (["dq", "--q", "2.6", "--format", "json"],
+     "0051446d0f2baed74ebcbf918fcec029b30892d2c4436d761527489ad3be4682"),
+    (["dq", "--q", "2.6"], "de487a52524b3892226cb7d2dd0a3435e5825881acd8ac36a5ea42effecbe7a9"),
+    (["dq", "--q", "2.75", "--format", "json"],
+     "ed3a325a1ce0a755b839d76b23dcfcbadd8e16412c5ce2b0c7566ea330940665"),
+    (["dq", "--q", "2.75"], "4913c30faa8e10884fb4cfee4d883b5b301749abee7658f029931a8735ed61c9"),
+    (["dq", "--q", "2.9", "--format", "json"],
+     "5e66446aadd720e5c74278599b81439af0cf63af2d5eb1899a61f4bc4c2fe1d1"),
+    (["dq", "--q", "2.9"], "3f9e54c6dd829985577cec4fa65b5429ef80a62b4f5681d4fe3a20f778f6815a"),
+    (["dq", "--q", "kl", "--kl-terms", "5", "--format", "json"],
+     "e49b379aa18f497f0ed82f14ff9b88584c63afab48fe95be0cd4f784dde20299"),
+    (["selftest", "--format", "json"],
+     "c10c84a450351eb092cf71d46e480f56f289e1b407cb1a6a416a975e4633bfb3"),
+    (["selftest"], "d5e02b9330e288b2b4bc9895924ee4bc507e85b67190db98072ac4c6a1c9ae12"),
+)
+
+
+def test_dq_and_selftest_output_bytes_pinned(monkeypatch):
+    for key in ENV_KEYS:
+        monkeypatch.delenv(key, raising=False)
+    for argv, digest in OUTPUT_PINS:
+        code, text = run_cli(argv)
+        assert code == 0 and hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, argv
 
 
 def test_bases_past_the_ladder_cap_fails_before_any_root(monkeypatch):

@@ -8,12 +8,12 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 from gasket_spectrum.report import (
-    Report,
     canonical_json_bytes,
     decimal_str,
     float_str,
     fraction_str,
     jsonable,
+    report_bytes,
 )
 
 
@@ -46,8 +46,7 @@ def test_canonical_bytes_sorted_and_newline_terminated():
 
 
 def test_report_envelope_fields():
-    rep = Report(command="dq", inputs={"q": "2.2"}, result={"x": Fraction(1, 2)})
-    payload = json.loads(rep.to_bytes())
+    payload = json.loads(report_bytes("dq", {"q": "2.2"}, {"x": Fraction(1, 2)}))
     assert payload["command"] == "dq"
     assert payload["result"]["x"] == "1/2"
     assert payload["timing_ms"] == 0

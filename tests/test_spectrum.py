@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from gasket_spectrum import bases
 from gasket_spectrum.errors import DomainError
 from gasket_spectrum.matching import analyze
 from gasket_spectrum.spectrum import (
-    SFT_LETTER_ORDER,
-    SFT_MATRIX,
+    SFT_CERTIFIED_CYCLES,
+    SFT_NEXT,
     U1_PATHS,
     U2_PATHS,
     alternating_density,
@@ -31,7 +32,7 @@ from gasket_spectrum.spectrum import (
 )
 from gasket_spectrum.words import Seq, tm_block
 
-from helpers import band_midpoint
+from helpers import band_midpoint, four_block_b_blocks
 
 # Zeros of the scale-4 block, counted by hand from its sixteen digits.
 SCALE4_ZEROS = 5
@@ -86,6 +87,13 @@ def test_dimension_domain():
         dimension("3.1", Fraction(1, 2))
     with pytest.raises(DomainError):
         dimension("2.5", 2)
+
+
+def test_dimension_outside_working_range_names_the_enclosure():
+    for q, shown in (("3.1", "3.1"), ("2", "2.0"), (Fraction(5, 4), "1.25")):
+        message = f"base enclosure [{shown}, {shown}] is not inside (2, 3)"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            dimension(q, Fraction(1, 2))
 
 
 def test_spectrum_first_band_is_two_points():
@@ -147,8 +155,8 @@ def test_spectrum_interval_regime():
 
 
 def test_sft_matrix_rows():
-    assert SFT_MATRIX == ((0, 1, 1, 0), (0, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0))
-    assert SFT_LETTER_ORDER == ("a", "b", "abar", "bbar")
+    assert SFT_NEXT == {"a": ("b", "abar"), "b": ("abar",), "abar": ("a", "bbar"),
+                        "bbar": ("a",)}
 
 
 def test_sft_letters_at_scale_two():
@@ -164,6 +172,24 @@ def test_sft_paths_admissible():
         assert sft_letter_path_allowed(path)
     assert not sft_letter_path_allowed(("a", "a"))
     assert not sft_letter_path_allowed(("b", "a"), cyclic=False)
+
+
+def test_certified_cycles_and_witness_junctions_are_sft_edges():
+    for path in SFT_CERTIFIED_CYCLES:
+        for u, v in zip(path, path[1:] + path[:1]):
+            assert v in SFT_NEXT[u], (path, u, v)
+    for q in ("2.6", "2.9"):
+        spec = sft_spec(q)
+        d1, d2 = sft_densities(spec)
+        wit = interval_witness(spec, (d1 + d2) / 2, 4000)
+        assert min(wit.block_counts) > 0  # u1 -> u2 and u2 -> u1 junctions both occur
+        names = {word: name for name, word in spec.letters.items()}
+        size = 2 ** spec.n
+        for coord in (0, 1):
+            digits = tuple(p[coord] for p in wit.pairs)
+            path = [names[digits[i:i + size]] for i in range(0, len(digits), size)]
+            for u, v in zip(path, path[1:]):
+                assert v in SFT_NEXT[u], (q, coord, u, v)
 
 
 def test_sft_spec_finds_scale_one():
@@ -240,6 +266,19 @@ def test_kl_density_block_rows():
     rep = kl_density_check(2 ** 10, scales=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
     assert rep.passed
     assert len(rep.stats["blocks"]) == 10
+
+
+def test_kl_density_block_rows_match_four_block_concatenation():
+    rep = kl_density_check(2 ** 10, scales=tuple(range(1, 13)))
+    assert rep.passed and not rep.counterexamples
+    for row in rep.stats["blocks"]:
+        for k, w in zip(("B1", "B2", "B3", "B4"), four_block_b_blocks(row["n"])):
+            assert row[k] == Fraction(w.count(0), len(w)), (row["n"], k)
+    # The closed forms the rows are checked against, in their parity-branched shape.
+    for n in range(1, 21):
+        sign = (-1) ** n
+        assert alternating_density(n + 1) == Fraction(1, 3) + Fraction(sign, 3 * 2 ** (n + 1))
+        assert alternating_density(n + 2) == Fraction(1, 3) - Fraction(sign, 3 * 2 ** (n + 2))
 
 
 def test_pure_alternating_tail_has_no_zeros():

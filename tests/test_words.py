@@ -259,6 +259,14 @@ def test_parse_forms():
         parse_seq(";^inf")
 
 
+def test_bare_binary_words_are_refused():
+    # Digits are + 0 - or a comma list; "10" is not the word (1, 0).
+    for text in ("10^inf", "0;10^inf", "01^inf"):
+        with pytest.raises(DomainError, match="cannot parse word"):
+            parse_seq(text)
+    assert parse_seq("0^inf") == Seq((), (0,))
+
+
 def test_format_word_rejects_nonternary():
     with pytest.raises(DomainError):
         format_word((2,))
