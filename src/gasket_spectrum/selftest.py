@@ -184,21 +184,28 @@ def _check_geometry(config: RunConfig) -> str:
     _require(len(cloud.xs) == 3 ** 4)
     gasket = geometry.build_gasket("2.5", 5)
     _require(len(gasket.xs) == 3 ** 5 == len(set(gasket.points)))
+    # E + (-0.9, 0.9) crosses the left and top edges of the frame [-0.7, 1.4]
+    shifted = geometry.build_gasket("2.5", 7, translate=(-0.9, 0.9), kind="E_plus_t")
+    flat = geometry.PointCloud(shifted.kind, shifted.q, shifted.depth, shifted.xs, shifted.ys)
     import os
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        def emitted(emit, name: str, *args) -> bytes:
+        def emitted(emit, clouds, name: str, *args) -> bytes:
             path = os.path.join(tmp, name)
-            emit([gasket, cloud], path, *args)
+            emit(clouds, path, *args)
             with open(path, "rb") as fh:
                 return fh.read()
 
-        svg = [emitted(geometry.emit_svg, f"{i}.svg") for i in (1, 2)]
-        ppm = [emitted(geometry.emit_ppm, f"{i}.ppm", 64) for i in (1, 2)]
+        svg = [emitted(geometry.emit_svg, [gasket, cloud], f"{i}.svg") for i in (1, 2)]
+        ppm = [emitted(geometry.emit_ppm, [gasket, cloud], f"{i}.ppm", 64) for i in (1, 2)]
+        # a cloud without levels is painted point by point
+        painted = [emitted(geometry.emit_ppm, [c], f"{name}.ppm", 64)
+                   for name, c in (("tree", shifted), ("flat", flat))]
     _require(svg[0] == svg[1] and ppm[0] == ppm[1], "emitted bytes differ between runs")
     header = b"P6\n64 64\n255\n"
     _require(ppm[0].startswith(header) and len(ppm[0]) == len(header) + 64 * 64 * 3,
              "malformed 64x64 PPM")
+    _require(painted[0] == painted[1], "tree descent and per-point paint differ")
     return "counting law, distinct cylinder points, and byte-stable SVG and PPM rendering"
 
 def _check_kl_density(config: RunConfig) -> str:

@@ -398,31 +398,27 @@ def reference_emit_svg(clouds, path: str) -> None:
 
 
 def reference_emit_ppm(clouds, path: str, size: int = 512) -> None:
-    """PPM painted point by point into a grid of RGB tuples."""
+    """PPM painted point by point, three RGB bytes per pixel."""
     if size < 16 or size > 4096:
         raise DomainError("raster size must be in [16, 4096]")
     qs = {c.q for c in clouds}
     if len(qs) > 1:
         raise DomainError("all clouds must share one base")
     lo, _hi, span = _frame(clouds)
-    white = (255, 255, 255)
-    grid = [[white] * size for _ in range(size)]
+    body = bytearray(b"\xff" * (3 * size * size))
     rgb = {"E": (153, 153, 153), "E_plus_t": (91, 141, 239),
            "intersection": (214, 39, 40)}
     for cloud in clouds:
-        color = rgb.get(cloud.kind, (0, 0, 0))
+        color = bytes(rgb.get(cloud.kind, (0, 0, 0)))
         for x, y in cloud.points:
             col = int((x - lo) / span * (size - 1))
             row = size - 1 - int((y - lo) / span * (size - 1))
             if 0 <= col < size and 0 <= row < size:
-                grid[row][col] = color
-    body = bytearray()
-    for row in grid:
-        for px in row:
-            body.extend(px)
+                k = 3 * (row * size + col)
+                body[k:k + 3] = color
     try:
         with open(path, "wb") as fh:
             fh.write(f"P6\n{size} {size}\n255\n".encode("ascii"))
-            fh.write(bytes(body))
+            fh.write(body)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc

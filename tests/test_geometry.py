@@ -140,6 +140,18 @@ def test_point_columns_track_no_per_point_objects():
         gc.enable()
 
 
+def test_point_cloud_rejects_levels_that_do_not_fit_the_columns():
+    c = build_gasket("2.5", 3)
+    for xs, ys, levels in ((c.xs, c.ys, (OMEGA1,) * 2), (c.xs, c.ys, (OMEGA1,) * 4),
+                           (c.xs, c.ys, (OMEGA1, OMEGA1, ((0, 0),))),
+                           (c.xs, c.ys[:-1], c.levels), ((), (), ((),))):
+        with pytest.raises(DomainError, match="levels"):
+            PointCloud("E", c.q, 3, xs, ys, levels)
+    assert PointCloud("E", c.q, 3, c.xs, c.ys, c.levels).levels == c.levels
+    assert c.levels == (OMEGA1,) * 3
+    assert PointCloud("E", c.q, 3, c.xs, c.ys).levels == ()  # raw columns: one flat level
+
+
 def test_gasket_depth_limits():
     with pytest.raises(ResourceLimitError):
         build_gasket("2.5", 13)
@@ -385,4 +397,60 @@ def test_emitters_match_reference(tmp_path):
     unknown = cloud("unknown", 2, ((0.1, 0.2), (0.3, 0.3), (-0.0, 0.0)))
     empty = cloud("intersection", 4, ())
     for clouds in ([odd, unknown, empty], [unknown], [empty], []):
-        assert_same_bytes(clouds, (16, 17, 64))
+        assert_same_bytes(clouds, (16, 17, 64, 4096))
+
+
+@pytest.mark.parametrize("q", ["2.25", "2.9"])
+def test_ppm_painter_matches_reference_on_deep_clouds(tmp_path, q):
+    # At 16 and 512 px whole subtrees fall on one pixel and are painted
+    # without reading their points; at 4096 px most points go point by point.
+    qf = build_gasket(q, 1).q
+    lo = -1.05 / (qf - 1.0)
+    pair = zip_seqs(parse_seq(BENCH_TRANSLATIONS[1][0]), parse_seq(BENCH_TRANSLATIONS[1][1]))
+    paths = [str(tmp_path / name) for name in ("new", "ref")]
+    for depth in (10, 11):
+        shifted = build_gasket(q, depth, translate=(-0.9, 0.9), kind="E_plus_t")
+        assert min(shifted.xs) < lo < max(shifted.xs)  # partly off the raster's left
+        clouds = [build_gasket(q, depth), shifted,
+                  build_intersection(q, pair, depth),  # levels mix singletons and triples
+                  build_intersection(q, e_seq(1, 1, 2), depth)]
+        assert {len(d) for d in clouds[2].levels} == {len(d) for d in clouds[3].levels} \
+            == {1, 3}
+        for size in (16, 512, 4096):
+            emit_ppm(clouds, paths[0], size)
+            reference_emit_ppm(clouds, paths[1], size)
+            assert open(paths[0], "rb").read() == open(paths[1], "rb").read(), (depth, size)
+
+
+class _CountingColumn(tuple):
+    """A coordinate column that counts the coordinates read from it: one per
+    index, the length of each slice and the whole column per iteration."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        got = tuple.__getitem__(self, key)
+        _CountingColumn.reads += len(got) if isinstance(key, slice) else 1
+        return got
+
+    def __iter__(self):
+        _CountingColumn.reads += len(self)
+        return tuple.__iter__(self)
+
+
+def test_ppm_painter_reads_few_coordinates(tmp_path):
+    # Mapping every point reads each of a depth-10 gasket's 2 * 3^10
+    # coordinates twice: 4 * 3^10 = 236,196 reads. On a 512-px raster the
+    # painter read these counts; the bounds leave a quarter more.
+    measured = {"2.25": 119_104, "2.5": 57_436, "2.7": 22_300, "2.9": 35_524}
+    for q, reads in measured.items():
+        c = build_gasket(q, 10)
+        counted = PointCloud(c.kind, c.q, c.depth, _CountingColumn(c.xs),
+                             _CountingColumn(c.ys), c.levels)
+        _CountingColumn.reads = 0
+        emit_ppm([counted], str(tmp_path / "x.ppm"), 512)
+        assert 0 < _CountingColumn.reads <= reads * 5 // 4, (q, _CountingColumn.reads)
+    flat = PointCloud(c.kind, c.q, c.depth, counted.xs, counted.ys)
+    _CountingColumn.reads = 0
+    emit_ppm([flat], str(tmp_path / "x.ppm"), 512)
+    assert _CountingColumn.reads == 4 * 3 ** 10  # the count sees every read
