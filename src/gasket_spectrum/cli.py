@@ -114,12 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    flags = {
-        "tolerance": getattr(args, "tolerance", None),
-        "max_block_exponent": getattr(args, "max_block_exponent", None),
-        "kl_terms": getattr(args, "kl_terms", None),
-        "output_format": getattr(args, "output_format", None),
-    }
+    flags = {name: getattr(args, name, None) for name in RunConfig.__slots__}
     return load_config(flag_values=flags, config_path=getattr(args, "config", None))
 
 
@@ -231,7 +226,7 @@ def _cmd_verify(args, config):
 
 def _cmd_dq(args, config):
     q = _parse_base(args.q, config)
-    s = spectrum.spectrum_of(q, config)
+    s = spectrum.spectrum_of(q, config.tolerance, config.kl_terms)
     provenance = {"q_enclosure": [str(q.lo), str(q.hi)]}
     if s.regime.m is not None:
         provenance["m"] = s.regime.m
@@ -291,7 +286,7 @@ def _cmd_render(args, config):
 def _cmd_selftest(args, config):
     from .selftest import run_selftest  # imported here: it loads every module
 
-    result = run_selftest(config)
+    result = run_selftest(config.tolerance)
     lines = []
     for item in result["items"]:
         status = "PASS" if item["pass"] else "FAIL"

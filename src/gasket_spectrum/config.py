@@ -6,6 +6,7 @@ import os
 
 from .bases import DEFAULT_TOLERANCE, _check_tolerance
 from .errors import DomainError
+from .spectrum import KL_TERMS, check_kl_terms
 from .words import MAX_BLOCK_EXPONENT, Immutable
 
 # Environment variable names, documented in the README.
@@ -17,32 +18,23 @@ ENV_KEYS = {
     "GS_CONFIG": None,  # path to a config file, handled separately
 }
 
-_INT_FIELDS = {"max_block_exponent", "kl_terms"}
-MAX_KL_TERMS = 1024  # family terms a KL report lists; its size grows quadratically
-
 
 class RunConfig(Immutable):
     __slots__ = ("tolerance", "max_block_exponent", "kl_terms", "output_format")
 
     def __init__(self, tolerance: float = DEFAULT_TOLERANCE,
-                 max_block_exponent: int = MAX_BLOCK_EXPONENT, kl_terms: int = 32,
+                 max_block_exponent: int = MAX_BLOCK_EXPONENT, kl_terms: int = KL_TERMS,
                  output_format: str = "text"):
         _check_tolerance(tolerance)
         if output_format not in ("text", "json"):
             raise DomainError("output_format must be 'text' or 'json'")
         if max_block_exponent < 1:
             raise DomainError("max_block_exponent must be a positive integer")
-        if kl_terms < 1:
-            raise DomainError("kl_terms must be a positive integer")
-        if kl_terms > MAX_KL_TERMS:
-            raise DomainError(f"kl_terms {kl_terms} exceeds cap {MAX_KL_TERMS}")
+        check_kl_terms(kl_terms)
         object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(self, "max_block_exponent", max_block_exponent)
         object.__setattr__(self, "kl_terms", kl_terms)
         object.__setattr__(self, "output_format", output_format)
-
-
-DEFAULT_CONFIG = RunConfig()
 
 
 def _replace(cfg: RunConfig, changes: dict) -> RunConfig:
@@ -50,8 +42,13 @@ def _replace(cfg: RunConfig, changes: dict) -> RunConfig:
     return RunConfig(**{**{name: getattr(cfg, name) for name in RunConfig.__slots__}, **changes})
 
 
-def _coerce(name: str, raw: object) -> object:
-    kind = int if name in _INT_FIELDS else float if name == "tolerance" else str
+def _coerce(name: str, raw: object, kind: type, parse: bool = True) -> object:
+    """raw as kind, the type of the field's default. Environment and flag values
+    are parsed; a config-file value (parse=False) must already have that type,
+    where an integer may stand for a float but a bool is no number."""
+    if not parse and (isinstance(raw, bool)
+                      or not isinstance(raw, (int, float) if kind is float else kind)):
+        raise DomainError(f"{name}: cannot read {raw!r}")
     try:
         return kind(raw)  # type: ignore[operator]
     except (TypeError, ValueError, OverflowError) as exc:
@@ -69,7 +66,8 @@ def load_config(
     env defaults to os.environ; config_path falls back to GS_CONFIG.
     """
     env = os.environ if env is None else env
-    cfg = DEFAULT_CONFIG
+    cfg = RunConfig()
+    kinds = {name: type(getattr(cfg, name)) for name in RunConfig.__slots__}
 
     path = config_path or env.get("GS_CONFIG")
     if path:
@@ -84,15 +82,15 @@ def load_config(
         unknown = set(data) - set(RunConfig.__slots__)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        cfg = _replace(cfg, {k: _coerce(k, v) for k, v in data.items()})
+        cfg = _replace(cfg, {k: _coerce(k, v, kinds[k], parse=False) for k, v in data.items()})
 
     for env_key, field_name in ENV_KEYS.items():
         if field_name and env_key in env:
-            cfg = _replace(cfg, {field_name: _coerce(field_name, env[env_key])})
+            cfg = _replace(cfg, {field_name: _coerce(field_name, env[env_key], kinds[field_name])})
 
     if flag_values:
         updates = {k: v for k, v in flag_values.items() if v is not None}
         if updates:
-            cfg = _replace(cfg, {k: _coerce(k, v) for k, v in updates.items()})
+            cfg = _replace(cfg, {k: _coerce(k, v, kinds[k]) for k, v in updates.items()})
 
     return cfg

@@ -51,13 +51,7 @@ class MatchReport(Immutable):
         object.__setattr__(self, "period_length", period_length)
 
     def to_json_dict(self) -> dict:
-        return {
-            "matched": self.matched,
-            "first_violation_index": self.first_violation_index,
-            "zero_pair_density": self.zero_pair_density,
-            "zero_pair_in_period": self.zero_pair_in_period,
-            "period_length": self.period_length,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def zip_seqs(a: Seq, b: Seq) -> Seq:

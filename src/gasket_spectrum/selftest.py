@@ -13,7 +13,6 @@ import io
 from fractions import Fraction
 
 from . import bases, expansions, geometry, matching, spectrum, words
-from .config import DEFAULT_CONFIG, RunConfig
 from .errors import GasketError
 
 
@@ -37,14 +36,14 @@ def _residual_unique_oracle(seq: words.Seq, q: Fraction) -> bool:
     return True
 
 
-def _band_midpoint(m: int, config: RunConfig) -> bases.BaseValue:
-    lo = bases.base_root(m, config.tolerance)
-    hi = bases.base_root(m + 1, config.tolerance)
+def _band_midpoint(m: int, tolerance: float) -> bases.BaseValue:
+    lo = bases.base_root(m, tolerance)
+    hi = bases.base_root(m + 1, tolerance)
     mid = (lo.hi + hi.lo) / 2
     return bases.BaseValue(mid, mid)
 
 
-def _check_block_calculus(config: RunConfig) -> str:
+def _check_block_calculus(tolerance: float) -> str:
     for n in range(0, 13):
         e = words.tm_block(n)
         e1 = words.tm_block(n + 1)
@@ -59,34 +58,34 @@ def _check_block_calculus(config: RunConfig) -> str:
         _require(e == tuple(map(words.tm_diff, range(1, len(e) + 1))), f"block {n} != diffs")
     return "block recursion, parity, prefix, and difference identities for n <= 13"
 
-def _check_block_density(config: RunConfig) -> str:
+def _check_block_density(tolerance: float) -> str:
     rep = spectrum.block_density_check(16)
     _require(rep.passed, rep.counterexamples)
     return "zero densities equal the alternating closed form for n <= 16"
 
-def _check_trichotomy(config: RunConfig) -> str:
+def _check_trichotomy(tolerance: float) -> str:
     for n in range(1, 9):
         rep = matching.verify_shift_trichotomy(n)
         _require(rep.passed, rep.counterexamples)
     return "shift trichotomy for scales 1..8"
 
-def _check_bump(config: RunConfig) -> str:
+def _check_bump(tolerance: float) -> str:
     for n in range(3, 9):  # one search decides both variants
         rep = matching.verify_bump_witnesses(n)
         _require(rep.passed, rep.counterexamples)
     return "bump-block witnesses for scales 3..8, both variants"
 
-def _check_cross_scale(config: RunConfig) -> str:
+def _check_cross_scale(tolerance: float) -> str:
     for n in range(1, 8):
         for m in range(n, 8):
             rep = matching.verify_cross_scale(n, m)
             _require(rep.passed, rep.counterexamples)
     return "cross-scale match certificates for 1 <= n <= m <= 7"
 
-def _check_ladder(config: RunConfig) -> str:
-    r1 = bases.base_root(1, config.tolerance)
+def _check_ladder(tolerance: float) -> str:
+    r1 = bases.base_root(1, tolerance)
     _require(r1.lo == r1.hi == 2)
-    r2 = bases.base_root(2, config.tolerance)
+    r2 = bases.base_root(2, tolerance)
     lo, hi = 2.0, 3.0
     for _ in range(80):  # independent float bisection on q^2 - 2q - 1
         mid = (lo + hi) / 2
@@ -97,39 +96,39 @@ def _check_ladder(config: RunConfig) -> str:
     _require(abs(r2.value - (lo + hi) / 2) < 1e-12)
     prev = r1
     for n in range(2, 13):
-        rn = bases.base_root(n, config.tolerance)
+        rn = bases.base_root(n, tolerance)
         _require(prev.hi < rn.lo, f"enclosures {n - 1} and {n} overlap")
         prev = rn
     return "root enclosures exact at 1, match the quadratic at 2, disjoint through 12"
 
-def _check_kl(config: RunConfig) -> str:
+def _check_kl(tolerance: float) -> str:
     kl = bases.kl_constant(1e-10)
-    q8 = bases.base_root(8, config.tolerance)
+    q8 = bases.base_root(8, tolerance)
     _require(q8.hi < kl.lo < kl.hi < 3)
     kl6 = bases.kl_constant(1e-6)
     _require(kl6.lo <= kl.lo and kl.hi <= kl6.hi)
     return "limit enclosure sits above the 8th root and nests across tolerances"
 
-def _check_spectra(config: RunConfig) -> str:
+def _check_spectra(tolerance: float) -> str:
     import math
-    s = spectrum.spectrum_of("2.2", config)
+    s = spectrum.spectrum_of("2.2", tolerance)
     _require(s.regime.kind == "finite" and s.regime.m == 1 and s.family is None)
     _require(sorted(s.isolated) == sorted((0.0, math.log(3) / math.log(2.2))))
-    s3 = spectrum.spectrum_of(bases.base_root(3, config.tolerance), config)
+    s3 = spectrum.spectrum_of(bases.base_root(3, tolerance), tolerance)
     _require(s3.regime.m == 2 and s3.family is not None)
     _require(s3.family.terms == (Fraction(1, 2),))
-    kl = bases.kl_constant(config.tolerance)
-    skl = spectrum.spectrum_of(kl, config)
+    kl = bases.kl_constant(tolerance)
+    skl = spectrum.spectrum_of(kl, tolerance)
     _require(len(skl.isolated) == 3 and skl.family is not None)
     for k, t in enumerate(skl.family.terms, start=1):
         _require(abs(t - Fraction(1, 3)) == Fraction(1, 3 * 2 ** k))
-    si = spectrum.spectrum_of("2.9", config)
+    si = spectrum.spectrum_of("2.9", tolerance)
     _require(si.interval is not None and 0 < si.interval.lo < si.interval.hi < si.log_ratio)
     return "finite, limit, and interval spectra have the documented shapes"
 
-def _check_sft(config: RunConfig) -> str:
+def _check_sft(tolerance: float) -> str:
     for qs in ("2.6", "2.75", "2.9"):
-        spec = spectrum.sft_spec(qs, config.tolerance)
+        spec = spectrum.sft_spec(qs, tolerance)
         d1, d2 = spectrum.sft_densities(spec)  # raises unless d1 < d2
         for path in spectrum.U1_PATHS + spectrum.U2_PATHS:
             _require(spectrum.sft_letter_path_allowed(path))
@@ -138,9 +137,9 @@ def _check_sft(config: RunConfig) -> str:
         _require(abs(wit.achieved - wit.target) <= Fraction(2, u1_len))
     return "subshift letters embed at 2.6/2.75/2.9 with ordered densities"
 
-def _check_uniqueness_concordance(config: RunConfig) -> str:
+def _check_uniqueness_concordance(tolerance: float) -> str:
     for m in range(1, 7):
-        q = _band_midpoint(m, config)
+        q = _band_midpoint(m, tolerance)
         for n in range(0, m):
             found = expansions.find_unique_with_tail(
                 expansions.catalogue_tail(n), q, max_preperiod=4)
@@ -151,7 +150,7 @@ def _check_uniqueness_concordance(config: RunConfig) -> str:
             _require(found is None, (m, n))
     return "catalogue tails accepted below the band index and rejected from it up"
 
-def _check_uniqueness_oracle(config: RunConfig) -> str:
+def _check_uniqueness_oracle(tolerance: float) -> str:
     import random
     rng = random.Random(20260808)
     grid = [Fraction(21, 10), Fraction(49, 20), Fraction(13, 5), Fraction(29, 10)]
@@ -169,7 +168,7 @@ def _check_uniqueness_oracle(config: RunConfig) -> str:
             _require(lex == res, (q, s, lex, res))
     return "lexicographic and residual uniqueness decisions agree on the sample grid"
 
-def _check_greedy(config: RunConfig) -> str:
+def _check_greedy(tolerance: float) -> str:
     q = Fraction("2.6")
     target = expansions.evaluate_exact(words.Seq((), (1, 0, -1, 0)), q)
     got = expansions.greedy_expand(target, q, 8)
@@ -178,7 +177,7 @@ def _check_greedy(config: RunConfig) -> str:
     _require(expansions.greedy_expand(Fraction(1) / (q - 1), q, 6) == (1,) * 6)
     return "greedy digits reproduce the periodic example and both endpoints"
 
-def _check_geometry(config: RunConfig) -> str:
+def _check_geometry(tolerance: float) -> str:
     t = matching.e_seq(1, 1, 2)
     cloud = geometry.build_intersection("2.5", t, 8)
     _require(len(cloud.xs) == 3 ** 4)
@@ -208,14 +207,14 @@ def _check_geometry(config: RunConfig) -> str:
     _require(painted[0] == painted[1], "tree descent and per-point paint differ")
     return "counting law, distinct cylinder points, and byte-stable SVG and PPM rendering"
 
-def _check_kl_density(config: RunConfig) -> str:
+def _check_kl_density(tolerance: float) -> str:
     rep = spectrum.kl_density_check(2 ** 14)
     _require(rep.passed, rep.counterexamples)
     fam = {row["family"]: row for row in rep.stats["families"]}
     _require(fam["j=1,l=1"]["abs_dev"] < Fraction(1, 384))
     return "block densities exact and tail frequency within 1/384 of one third"
 
-def _check_determinism(config: RunConfig) -> str:
+def _check_determinism(tolerance: float) -> str:
     from .cli import run
     out1, out2 = io.StringIO(), io.StringIO()
     argv = ["dq", "--q", "2.2", "--format", "json"]
@@ -243,11 +242,12 @@ CHECKS = (
 )
 
 
-def run_selftest(config: RunConfig = DEFAULT_CONFIG) -> dict:
+def run_selftest(tolerance: float = bases.DEFAULT_TOLERANCE) -> dict:
+    """Run CHECKS with roots, limit base and spectra at tolerance; KL spectra list KL_TERMS terms."""
     items = []
     for name, fn in CHECKS:
         try:
-            detail = fn(config)
+            detail = fn(tolerance)
             items.append({"name": name, "pass": True, "detail": detail})
         except (AssertionError, GasketError) as exc:
             items.append({"name": name, "pass": False, "detail": str(exc) or repr(exc)})

@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 
 from .bases import DEFAULT_TOLERANCE, RegimeLabel, as_base_value, classify, require_working_base
-from .config import DEFAULT_CONFIG, RunConfig
 from .errors import CapabilityError, DomainError, InternalConsistencyError
 from .expansions import KLTailDescriptor, is_unique_expansion, kl_tail
 from .matching import VerifierReport, analyze, b_blocks, zip_seqs
@@ -24,6 +23,16 @@ from .words import Immutable, Seq, Word, reflect, tm_block
 # The unique-expansion subshift as a successor table: letter -> letters that may follow.
 SFT_NEXT = {"a": ("b", "abar"), "b": ("abar",), "abar": ("a", "bbar"), "bbar": ("a",)}
 SFT_MAX_N = 12  # largest letter scale sft_spec tries
+KL_TERMS = 32  # family terms a Komornik-Loreti spectrum lists by default
+MAX_KL_TERMS = 1024  # family terms a KL report lists; its size grows quadratically
+
+
+def check_kl_terms(kl_terms: int) -> None:
+    """Refuse a KL family size outside 1..MAX_KL_TERMS."""
+    if kl_terms < 1:
+        raise DomainError("kl_terms must be a positive integer")
+    if kl_terms > MAX_KL_TERMS:
+        raise DomainError(f"kl_terms {kl_terms} exceeds cap {MAX_KL_TERMS}")
 
 
 def zero_fraction(word: Word) -> Fraction:
@@ -315,27 +324,29 @@ class DimensionSpectrum(Immutable):
         }
 
 
-def spectrum_of(q, config: RunConfig = DEFAULT_CONFIG) -> DimensionSpectrum:
-    """Dimension spectrum of gasket self-intersections at base q.
+def spectrum_of(q, tolerance: float = DEFAULT_TOLERANCE,
+                kl_terms: int = KL_TERMS) -> DimensionSpectrum:
+    """Dimension spectrum of gasket self-intersections at base q, classified at tolerance.
 
     Finite band m: {0, log3/logq} plus the family terms for scales 1..m-1.
     Komornik-Loreti: adds the accumulation point at one third of the maximum
-    and the full (truncated) family. Above it: endpoints 0 and the maximum
-    plus an interval certified as contained in the spectrum.
+    and the family's first kl_terms terms (1..MAX_KL_TERMS). Above it: endpoints
+    0 and the maximum plus an interval certified as contained in the spectrum.
     """
     b = as_base_value(q)
-    label = classify(b, config.tolerance)
+    label = classify(b, tolerance)
     log_ratio = math.log(3) / math.log(b.value)
     isolated, family, interval = (0.0, log_ratio), None, None
     if label.kind == "finite":
         terms = tuple(alternating_density(k) for k in range(1, label.m))
         family = FamilyPart(terms, None, log_ratio) if terms else None
     elif label.kind == "komornik_loreti":
-        terms = tuple(alternating_density(k) for k in range(1, config.kl_terms + 1))
+        check_kl_terms(kl_terms)
+        terms = tuple(alternating_density(k) for k in range(1, kl_terms + 1))
         family = FamilyPart(terms, Fraction(1, 3), log_ratio)
         isolated += (log_ratio / 3,)
     else:
-        spec = sft_spec(b, config.tolerance)
+        spec = sft_spec(b, tolerance)
         d1, d2 = sft_densities(spec)
         interval = IntervalPart(log_ratio * float(d1), log_ratio * float(d2), d1, d2, spec.n)
     return DimensionSpectrum(label, log_ratio, isolated, family, interval)

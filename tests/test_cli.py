@@ -16,7 +16,7 @@ import pytest
 from gasket_spectrum import bases, cli, geometry, matching, selftest, words
 from gasket_spectrum.bases import as_base_value
 from gasket_spectrum.cli import build_parser, run
-from gasket_spectrum.config import DEFAULT_CONFIG, ENV_KEYS, RunConfig, load_config
+from gasket_spectrum.config import ENV_KEYS, RunConfig, load_config
 from gasket_spectrum.errors import DomainError
 from gasket_spectrum.report import decimal_str
 
@@ -327,8 +327,10 @@ def test_config_rejects_unknown_keys(tmp_path):
         cfg_path.write_text(json.dumps({key: 8}))
         code, text = run_cli(["classify", "--q", "2.2", "--config", str(cfg_path)])
         assert code == 1 and "unknown config keys" in text and key in text, key
-    # A malformed value or a file that is not a JSON object is an error too.
-    for content in ('{"kl_terms": "x"}', "5"):
+    # A malformed value, a value of the wrong JSON type (a bool is no number)
+    # or a file that is not a JSON object is an error too.
+    for content in ('{"kl_terms": "x"}', "5", '{"kl_terms": 3.7}', '{"kl_terms": true}',
+                    '{"max_block_exponent": 9.99}', '{"tolerance": true}'):
         cfg_path.write_text(content)
         code, text = run_cli(["classify", "--q", "2.2", "--config", str(cfg_path)])
         assert code == 1 and "error" in text, content
@@ -343,7 +345,7 @@ def test_every_config_field_has_an_environment_variable():
 def test_config_env_format(monkeypatch):
     cfg = load_config(env={"GS_FORMAT": "json"})
     assert cfg.output_format == "json"
-    assert DEFAULT_CONFIG.output_format == "text"
+    assert RunConfig().output_format == "text"
 
 
 def test_malformed_values_are_domain_errors():
@@ -451,7 +453,7 @@ def test_kl_terms_flag_controls_family_size():
 
 
 def test_size_inputs_past_their_caps_exit_1(monkeypatch):
-    from gasket_spectrum.config import MAX_KL_TERMS
+    from gasket_spectrum.spectrum import MAX_KL_TERMS
     from gasket_spectrum.expansions import MAX_EXPAND_DEPTH
     depth = str(MAX_EXPAND_DEPTH + 1)
     code, text = run_cli(["expand", "--q", "2.6", "--x", "0.335", "--depth", depth])
@@ -564,7 +566,7 @@ def test_every_subcommand_takes_the_common_flags(tmp_path, monkeypatch):
         assert parser.parse_args([command, *required, "--timing"]).timing, command
     args = parser.parse_args(["bases", "--max-n", "5"])
     assert args.bases_max_n == 5
-    assert cli._config_from_args(args).max_block_exponent == DEFAULT_CONFIG.max_block_exponent
+    assert cli._config_from_args(args).max_block_exponent == RunConfig().max_block_exponent
     args = parser.parse_args(["render", *_REQUIRED_ARGS["render"], "--format", "ppm"])
     assert args.render_format == "ppm"
     assert cli._config_from_args(args).output_format == "text"
@@ -592,6 +594,15 @@ def test_cli_import_loads_no_code_generation_or_unused_modules():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # The run configuration belongs to the CLI: the library and its battery
+    # take their settings as arguments and never load it.
+    script = ("import sys, gasket_spectrum, gasket_spectrum.selftest\n"
+              "print('gasket_spectrum.config' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_kl_base_follows_run_tolerance():

@@ -12,6 +12,7 @@ from gasket_spectrum import bases
 from gasket_spectrum.errors import DomainError
 from gasket_spectrum.matching import analyze
 from gasket_spectrum.spectrum import (
+    MAX_KL_TERMS,
     SFT_CERTIFIED_CYCLES,
     SFT_NEXT,
     U1_PATHS,
@@ -143,6 +144,16 @@ def test_spectrum_at_kl():
     assert len(s.family.terms) == 32
     for k, t in enumerate(s.family.terms, start=1):
         assert abs(t - Fraction(1, 3)) == Fraction(1, 3 * 2 ** k)
+
+
+def test_spectrum_at_kl_takes_kl_terms():
+    kl = bases.kl_constant()
+    assert len(spectrum_of(kl, kl_terms=5).family.terms) == 5
+    # the messages the CLI prints for --kl-terms out of range
+    with pytest.raises(DomainError, match="^kl_terms must be a positive integer$"):
+        spectrum_of(kl, kl_terms=0)
+    with pytest.raises(DomainError, match=f"^kl_terms {MAX_KL_TERMS + 1} exceeds cap {MAX_KL_TERMS}$"):
+        spectrum_of(kl, kl_terms=MAX_KL_TERMS + 1)
 
 
 def test_spectrum_interval_regime():
