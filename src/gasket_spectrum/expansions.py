@@ -32,8 +32,8 @@ ALPHA_HORIZON digits, or the check fails loudly (PrecisionError).
 
 alpha is read off the Thue-Morse difference block wherever it is known in
 closed form: at a tagged ladder root it is a period (alpha_period), at the
-Komornik-Loreti tag the block shifted by one. alpha_prefix serves every base
-from pure functions cached on the immutable (base, length) key.
+Komornik-Loreti tag the block shifted by one. alpha_prefix keeps the longest
+prefix read at each base and serves shorter reads by slicing it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from threading import Lock
 
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
 from .errors import DomainError, PrecisionError, ResourceLimitError
@@ -51,6 +52,7 @@ ALPHA_HORIZON = 4096  # digits of a non-periodic alpha that a comparison may rea
 FIRST_WINDOW = 16  # alpha digits a comparison reads before a tie doubles the window
 MAX_WORD_LENGTH = 1 << 24  # longest tail word kl_tail builds
 MAX_EXPAND_DEPTH = 4096  # digits greedy_expand produces; each costs more than the last
+_ALPHA_LOCK = Lock()  # guards the swap of a base's longest alpha prefix
 _REFLECT = bytes.maketrans(b"\x00\x01\x02", b"\x02\x01\x00")  # d -> 2 - d
 
 
@@ -189,28 +191,45 @@ def alpha_prefix(q, n: int) -> bytes:
     them, except past the horizon cap of a rational base or where an
     enclosure's ends disagree.
 
-    A tagged ladder root repeats alpha_period. Any other base reads
-    _alpha_run, with n clamped to the horizon at a rational point, so a read
-    past it shares one cache entry.
+    A tagged ladder root repeats alpha_period. Any other base keeps the
+    longest run of _alpha_run read so far and serves a shorter read by
+    slicing it, with n clamped to the horizon at a rational point, so a read
+    past it reuses the run too.
     """
     b = as_base_value(q)
     period = alpha_period(b)
     if period is not None:
         return period * (n // len(period)) + period[:n % len(period)]
-    return _alpha_run(b, min(n, ALPHA_HORIZON) if b.is_point else n)
+    if b.is_point:
+        n = min(n, ALPHA_HORIZON)
+    longest = _longest_alpha(b)
+    read, digits = longest[0]  # one slot, swapped whole, so racing readers see a pair
+    if read < n:
+        digits = _alpha_run(b, n)
+        with _ALPHA_LOCK:  # a racing shorter read must not replace a longer one
+            if longest[0][0] < n:
+                longest[0] = (n, digits)
+    return digits[:n]
 
 
 @lru_cache(maxsize=1024)  # bounded: every rational base would otherwise stay for good
+def _longest_alpha(b: BaseValue) -> list:
+    """A one-slot list holding (n, _alpha_run(b, n)) for the longest n read at
+    the working base b."""
+    require_working_base(b)
+    return [(0, b"")]
+
+
 def _alpha_run(b: BaseValue, n: int) -> bytes:
     """The first n digits of alpha at an untagged base or the Komornik-Loreti
     tag: the difference block shifted by one for the tag; for a rational
     point, the recursion on a certified fixed-point residual (see _digit_run:
     a digit is taken only when both ends of the residual's error interval
     give it, and one that straddles restarts the run with twice the bits);
-    for an enclosure, the common prefix of its ends."""
+    for an enclosure, the common prefix of its ends. Each is the prefix of
+    any longer run at the same base."""
     if b.is_kl:
         return bytes(d + 1 for d in tm_block((n - 1).bit_length())[:n])
-    require_working_base(b)
     if b.is_point:
         return _digit_run(b.lo, 1, n)
     lo, hi = (alpha_prefix(x, n) for x in (b.lo, b.hi))

@@ -6,7 +6,7 @@ so outputs (and the SVG/PPM bytes derived from them) are identical across runs.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, product
 from operator import add
 
 from .bases import as_base_value, require_working_base
@@ -166,7 +166,7 @@ def translation_point(q, t_seq: Seq) -> tuple[float, float]:
 
 LAYER_COLORS = {"E": "#999999", "E_plus_t": "#5b8def", "intersection": "#d62728"}
 _CANVAS = 600.0
-_SVG_CHUNK = 4096  # circles encoded and written at a time
+_SVG_CHUNK = 4096  # most circles in one block encoded and written at a time
 # PPM: a block of at most this many points is mapped point by point. That is
 # cheaper than visiting its child nodes, at four coordinate reads and pixel
 # maps each: with the bounding-box rule alone, a depth-10 gasket at q = 2.25
@@ -205,13 +205,54 @@ def _write(path: str, chunks) -> None:
 def emit_svg(clouds, path: str) -> None:
     """Deterministic SVG: one layer group per cloud, circles of cylinder radius.
 
-    Digit parts lie in {0, 1}, so a depth-d cloud has at most 2^d distinct x
-    and y values against 3^d points: each is formatted once per cloud. The
-    circles go to the file _SVG_CHUNK points at a time, so memory does not
-    grow with the document.
+    Circles are written a block of the digit tree at a time: the block of a
+    node at the first level whose nodes own at most _SVG_CHUNK points. A
+    point's x is a fixed function of the x parts of its digits: the same
+    float additions in the same order, with the translation added last. So
+    two blocks whose digit prefixes have the same x parts have identical x
+    columns, hence identical formatted cx strings, and the same holds for y.
+    Each list is formatted once, from its first block, keyed by those digit
+    parts, which fix the column by construction (a key by float would rest
+    on distinct prefixes never rounding to one sum), and reused by every
+    later block. A cloud without levels is cut into _SVG_CHUNK-point
+    chunks, each formatted on its own.
+
+    Only the formatted lists are kept, one per distinct x or y prefix of one
+    cloud: a gasket split s levels down has 2^s per axis for 3^s blocks, a
+    shrinking share of the document (a depth-11 three-layer emission peaks
+    ~1.3 MB above its clouds for 22.7 MB written). Each block goes to the
+    file as it is made, so memory does not grow with the document.
     """
     lo, _hi, span = _frame(clouds)
     _write(path, _svg_chunks(clouds, lo, _CANVAS / span))
+
+
+def _svg_blocks(cloud) -> list:
+    """(start, stop, x key, y key) of each block emit_svg writes, in column
+    order. A key is the tuple of the x (or y) parts of the block's digit
+    prefix; a chunk of a cloud without levels has the key None, shared with
+    no other chunk."""
+    n = len(cloud.xs)
+    if not cloud.levels:
+        return [(k, min(k + _SVG_CHUNK, n), None, None) for k in range(0, n, _SVG_CHUNK)]
+    split, size = len(cloud.levels), 1
+    while split and size * len(cloud.levels[split - 1]) <= _SVG_CHUNK:
+        split -= 1
+        size *= len(cloud.levels[split])
+    top = cloud.levels[:split]
+    xkeys = product(*[[dx for dx, _ in digits] for digits in top])
+    ykeys = product(*[[dy for _, dy in digits] for digits in top])
+    return [(k, k + size, kx, ky) for k, kx, ky in zip(range(0, n, size), xkeys, ykeys)]
+
+
+def _formatted(cache: dict, key, part: tuple, text) -> list:
+    """text(v) for each v in part, each distinct value formatted once; the
+    list is kept in cache under key, unless the key is None."""
+    table = {v: text(v) for v in set(part)}
+    got = list(map(table.__getitem__, part))
+    if key is not None:
+        cache[key] = got
+    return got
 
 
 def _svg_chunks(clouds, lo: float, scale: float):
@@ -224,15 +265,25 @@ def _svg_chunks(clouds, lo: float, scale: float):
         # half a cylinder diameter, floored so deep levels stay visible
         radius = max((cloud.q ** -cloud.depth) / 2.0 * scale, 0.35)
         tail = f'" r="{radius:.9f}"/>\n'
-        cx = {x: f'<circle cx="{(x - lo) * scale:.9f}" cy="' for x in set(cloud.xs)}
-        cy = {y: f"{_CANVAS - (y - lo) * scale:.9f}{tail}" for y in set(cloud.ys)}
         yield f'<g fill="{color}" data-layer="{cloud.kind}">\n'.encode("ascii")
+
+        def x_text(x: float) -> str:
+            return f'<circle cx="{(x - lo) * scale:.9f}" cy="'
+
+        def y_text(y: float) -> str:
+            return f"{_CANVAS - (y - lo) * scale:.9f}{tail}"
+
         xs, ys = cloud.xs, cloud.ys
-        for k in range(0, len(xs), _SVG_CHUNK):
-            # one str join per chunk: a bytes join would allocate per item
-            yield "".join(chain.from_iterable(zip(
-                map(cx.__getitem__, xs[k:k + _SVG_CHUNK]),
-                map(cy.__getitem__, ys[k:k + _SVG_CHUNK])))).encode("ascii")
+        cx, cy = {}, {}  # formatted lists by digit prefix
+        buf = []
+        for start, stop, kx, ky in _svg_blocks(cloud):
+            sx = cx.get(kx) or _formatted(cx, kx, xs[start:stop], x_text)
+            sy = cy.get(ky) or _formatted(cy, ky, ys[start:stop], y_text)
+            if len(buf) != 2 * len(sx):
+                buf = [""] * (2 * len(sx))
+            buf[0::2] = sx
+            buf[1::2] = sy
+            yield "".join(buf).encode("ascii")
         yield b"</g>\n"
     yield b"</svg>\n"
 

@@ -186,6 +186,9 @@ def _check_geometry(tolerance: float) -> str:
     # E + (-0.9, 0.9) crosses the left and top edges of the frame [-0.7, 1.4]
     shifted = geometry.build_gasket("2.5", 7, translate=(-0.9, 0.9), kind="E_plus_t")
     flat = geometry.PointCloud(shifted.kind, shifted.q, shifted.depth, shifted.xs, shifted.ys)
+    # three SVG blocks of 3^7 points that share formatted x and y lists
+    deep = geometry.build_gasket("2.5", 8)
+    deep_flat = geometry.PointCloud(deep.kind, deep.q, deep.depth, deep.xs, deep.ys)
     import os
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -196,6 +199,9 @@ def _check_geometry(tolerance: float) -> str:
                 return fh.read()
 
         svg = [emitted(geometry.emit_svg, [gasket, cloud], f"{i}.svg") for i in (1, 2)]
+        # a cloud without levels is written chunk by chunk, sharing nothing
+        blocks = [emitted(geometry.emit_svg, [c], f"{name}.svg")
+                  for name, c in (("tree", deep), ("flat", deep_flat))]
         ppm = [emitted(geometry.emit_ppm, [gasket, cloud], f"{i}.ppm", 64) for i in (1, 2)]
         # a cloud without levels is painted point by point
         painted = [emitted(geometry.emit_ppm, [c], f"{name}.ppm", 64)
@@ -205,6 +211,7 @@ def _check_geometry(tolerance: float) -> str:
     _require(ppm[0].startswith(header) and len(ppm[0]) == len(header) + 64 * 64 * 3,
              "malformed 64x64 PPM")
     _require(painted[0] == painted[1], "tree descent and per-point paint differ")
+    _require(blocks[0] == blocks[1], "shared SVG blocks and per-chunk SVG differ")
     return "counting law, distinct cylinder points, and byte-stable SVG and PPM rendering"
 
 def _check_kl_density(tolerance: float) -> str:

@@ -195,7 +195,7 @@ def test_greedy_matches_fraction_reference_at_long_bases():
 
 def test_long_alpha_prefix_near_kl_is_fast():
     q = _near_kl(40)
-    expansions._alpha_run.cache_clear()
+    expansions._longest_alpha.cache_clear()
     started = time.perf_counter()
     digits = expansions.alpha_prefix(bases.BaseValue(q, q), 4096)
     elapsed = time.perf_counter() - started
@@ -218,6 +218,22 @@ def test_alpha_past_the_horizon_is_not_recomputed(monkeypatch):
     assert len(expansions.alpha_prefix(b, expansions.ALPHA_HORIZON + 1)) == expansions.ALPHA_HORIZON
     monkeypatch.setattr(expansions, "_digit_run", lambda *args: pytest.fail("alpha was recomputed"))
     assert len(expansions.alpha_prefix(b, expansions.ALPHA_HORIZON + 2)) == expansions.ALPHA_HORIZON
+
+
+def test_shorter_alpha_read_slices_the_longest_prefix(monkeypatch):
+    # The longest prefix read at a base serves every shorter read.
+    q = Fraction("2.4321")
+    expansions._longest_alpha.cache_clear()
+    runs = []
+    fixed_point_digits = expansions._fixed_point_digits
+    monkeypatch.setattr(expansions, "_fixed_point_digits",
+                        lambda *args: runs.append(args) or fixed_point_digits(*args))
+    long = quasi_greedy_alpha(q, 4096)
+    assert runs
+    ran = len(runs)
+    assert quasi_greedy_alpha(q, 300) == long[:300] == fraction_alpha(q, 300)
+    assert quasi_greedy_alpha(q, 4096) == long
+    assert len(runs) == ran
 
 
 def test_alpha_increasing_in_q():
@@ -410,13 +426,13 @@ def test_alpha_digits_concurrent_access():
     import threading
 
     q = Fraction("2.47")
-    expansions._alpha_run.cache_clear()
+    expansions._longest_alpha.cache_clear()
     results = []
 
-    def worker():
-        results.append(quasi_greedy_alpha(q, 120))
+    def worker(n):
+        results.append((n, quasi_greedy_alpha(q, n)))
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
+    threads = [threading.Thread(target=worker, args=(120 >> (i % 2),)) for i in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -427,4 +443,7 @@ def test_alpha_digits_concurrent_access():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == [fraction_alpha(q, 120)] * 8
+    want = fraction_alpha(q, 120)
+    assert sorted(results) == sorted((n, want[:n]) for n in (60, 120) * 4)
+    # a shorter read racing a longer one leaves the longer prefix kept
+    assert expansions._longest_alpha(bases.as_base_value(q))[0][0] == 120

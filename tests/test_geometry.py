@@ -26,7 +26,7 @@ from gasket_spectrum.geometry import (
     emit_svg,
     translation_point,
 )
-from gasket_spectrum.matching import OMEGA1, OMEGA2, e_seq, zip_seqs
+from gasket_spectrum.matching import OMEGA1, OMEGA2, analyze, e_seq, zip_seqs
 from gasket_spectrum.words import Seq, parse_seq
 
 from helpers import digit_points, reference_emit_ppm, reference_emit_svg
@@ -290,24 +290,39 @@ def test_failed_write_raises_domain_error(emit):
         emit([build_gasket("2.5", 8)], "/dev/full")
 
 
-def test_svg_emission_memory_does_not_grow_with_the_document(tmp_path):
-    # Circles go out a chunk at a time: the 2.5 MB document is never held
-    # whole, as a list of parts, one str or its bytes.
+def _svg_emission_peak(path: Path, depth: int) -> int:
+    """Bytes tracemalloc sees emit_svg add at its peak, over the three layers
+    E, E + t and their intersection at q = 2.5."""
     q, t = "2.5", e_seq(1, 1, 2)
-    clouds = [build_gasket(q, 9),
-              build_gasket(q, 9, translate=translation_point(q, t), kind="E_plus_t"),
-              build_intersection(q, t, 9)]
-    path = tmp_path / "deep.svg"
+    clouds = [build_gasket(q, depth),
+              build_gasket(q, depth, translate=translation_point(q, t), kind="E_plus_t"),
+              build_intersection(q, t, depth)]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         emit_svg(clouds, str(path))
-        extra = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_svg_emission_memory_does_not_grow_with_the_document(tmp_path):
+    # Circles go out a chunk at a time: the 2.5 MB document is never held
+    # whole, as a list of parts, one str or its bytes.
+    path = tmp_path / "deep.svg"
+    extra = _svg_emission_peak(path, 9)
     assert path.stat().st_size > 2_500_000
     assert extra < 1_500_000, extra
+
+
+def test_svg_prefix_lists_stay_small_at_depth_11(tmp_path):
+    # The formatted lists kept for reuse grow with the distinct digit
+    # prefixes (16 per axis for a depth-11 gasket), not toward the document.
+    path = tmp_path / "deeper.svg"
+    extra = _svg_emission_peak(path, 11)
+    assert path.stat().st_size > 17_000_000
+    assert extra < 3_000_000, extra
 
 
 def test_renders_match_bench_pins(tmp_path):
@@ -422,6 +437,55 @@ def test_ppm_painter_matches_reference_on_deep_clouds(tmp_path, q):
             assert open(paths[0], "rb").read() == open(paths[1], "rb").read(), (depth, size)
 
 
+@pytest.mark.parametrize("q", ["2.25", "2.9"])
+def test_svg_blocks_match_reference_on_hard_clouds(tmp_path, q):
+    # Blocks with equal x (or y) digit parts share one formatted list; each
+    # cloud below must still give the bytes of one circle per point.
+    qf = build_gasket(q, 1).q
+    lo = -1.05 / (qf - 1.0)
+    pair = zip_seqs(parse_seq(BENCH_TRANSLATIONS[1][0]), parse_seq(BENCH_TRANSLATIONS[1][1]))
+    singletons_first = Seq(((1, 0), (0, 1)), ((0, 0),))  # two singleton levels, then triples
+    assert analyze(singletons_first).matched
+    paths = [str(tmp_path / name) for name in ("new", "ref")]
+
+    def assert_same_bytes(clouds):
+        emit_svg(clouds, paths[0])
+        reference_emit_svg(clouds, paths[1])
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read(), \
+            [(c.kind, c.depth, len(c.xs)) for c in clouds]
+
+    for depth in (10, 11):
+        shifted = build_gasket(q, depth, translate=(-0.9, 0.9), kind="E_plus_t")
+        assert min(shifted.xs) < lo < max(shifted.xs)  # partly off the canvas's left
+        clouds = [build_gasket(q, depth), shifted,
+                  build_intersection(q, pair, depth),  # levels mix singletons and triples
+                  build_intersection(q, e_seq(1, 1, 2), depth)]
+        assert {len(d) for d in clouds[2].levels} == {len(d) for d in clouds[3].levels} \
+            == {1, 3}
+        assert_same_bytes(clouds)
+    # one block (3^7 points) and three blocks (3^8) below the singleton levels
+    top = [build_intersection(q, singletons_first, depth) for depth in (9, 10)]
+    assert [len(c.xs) for c in top] == [3 ** 7, 3 ** 8]
+    assert [len(d) for d in top[1].levels[:3]] == [1, 1, 3]
+    gasket = build_gasket(q, 9)
+    flat = [PointCloud("E", gasket.q, 9, gasket.xs[:n], gasket.ys[:n])
+            for n in (_SVG_CHUNK - 1, _SVG_CHUNK, _SVG_CHUNK + 1, 2 * _SVG_CHUNK)]
+    assert_same_bytes(top + flat)
+
+
+def test_svg_blocks_match_reference_next_to_two(tmp_path):
+    # 1e-13 above 2, the sums of distinct digit words lie closest together.
+    q = "2.0000000000001"
+    t = e_seq(1, 1, 2)
+    clouds = [build_gasket(q, 10),
+              build_gasket(q, 10, translate=translation_point(q, t), kind="E_plus_t"),
+              build_intersection(q, t, 10)]
+    paths = [str(tmp_path / name) for name in ("new", "ref")]
+    emit_svg(clouds, paths[0])
+    reference_emit_svg(clouds, paths[1])
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+
 class _CountingColumn(tuple):
     """A coordinate column that counts the coordinates read from it: one per
     index, the length of each slice and the whole column per iteration."""
@@ -454,3 +518,20 @@ def test_ppm_painter_reads_few_coordinates(tmp_path):
     _CountingColumn.reads = 0
     emit_ppm([flat], str(tmp_path / "x.ppm"), 512)
     assert _CountingColumn.reads == 4 * 3 ** 10  # the count sees every read
+
+
+def test_svg_emitter_reads_few_coordinates(tmp_path):
+    # A depth-10 gasket splits into 27 blocks of 3^7 points, whose digit
+    # prefixes take 8 distinct x parts and 8 distinct y parts: formatting one
+    # list per prefix reads 2 * 8 * 3^7 = 34,992 coordinates, against
+    # 2 * 3^10 = 118,098 for mapping every point. The bound leaves a quarter more.
+    c = build_gasket("2.5", 10)
+    counted = PointCloud(c.kind, c.q, c.depth, _CountingColumn(c.xs),
+                         _CountingColumn(c.ys), c.levels)
+    _CountingColumn.reads = 0
+    emit_svg([counted], str(tmp_path / "x.svg"))
+    assert 0 < _CountingColumn.reads <= 2 * 8 * 3 ** 7 * 5 // 4, _CountingColumn.reads
+    flat = PointCloud(c.kind, c.q, c.depth, counted.xs, counted.ys)
+    _CountingColumn.reads = 0
+    emit_svg([flat], str(tmp_path / "x.svg"))
+    assert _CountingColumn.reads == 2 * 3 ** 10  # a cloud without levels reads every point
