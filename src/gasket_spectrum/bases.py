@@ -12,16 +12,18 @@ each halving step (a mid below r lies left of the crossing), and only the two
 final ends are certified; if either fails, the halving runs again with every
 mid certified. A step sent to the wrong side would leave the crossing outside
 the final interval, so certified ends imply the enclosure of the fully
-certified bisection. The ladder value V_n(q) = sum_i w_n[i] q^-i takes O(n)
-Decimal operations through the doubling identity
+certified bisection. The ladder value V_n(q) = sum_i w_n[i] q^-i, with
+L = 2^(n-1) digits, and its limit S(q) are one function of x = 1/q: the
+Thue-Morse signs satisfy sum_{i<2^m} (-1)^(t_i) x^i = prod_{k<m} (1 - x^(2^k)),
+so
 
-    V_{k+1} = V_k (1 - u_k) + 2 u_k (1 - u_k) / (q - 1) + u_k^2,
-    u_k = q^(-2^(k-1)),  u_{k+1} = u_k^2,  V_1 = 2/q,
+    V_n(q) = (1 + x^L - (1 - x) P(x))/2 + x (1 - x^L)/(1 - x),
+    P(x) = prod_{k<n-1} (1 - x^(2^k)),
 
-so enclosures reach the 400+ digit separations of the deeper roots. The limit
-word's value is S(q) = (1 - (1 - x) P(x))/2 + x/(1 - x) with x = 1/q and the
-Thue-Morse product P(x) = prod_k (1 - x^(2^k)), cut once x^(2^k) <
-10^-(prec+2), which moves S by less than that. Signs are certified against a
+and S(q) is the same with x^L = 0 and every factor. The factors stop after
+n - 1 of them or once x^(2^k) < 10^-(prec+2), which moves the value by less
+than 3 10^-(prec+2), so enclosures reach the 400+ digit separations of the
+deeper roots in O(log prec) Decimal operations. Signs are certified against a
 noise band of 10^(8-prec), far wider than the cut, with a 30-digit guard
 margin; inside the band the precision is raised until the sign is certain
 (midpoints are rational, the roots irrational for n >= 2 and the limit
@@ -199,19 +201,20 @@ def ladder_word(n: int) -> LadderWord:
 # Certified bisection
 # ---------------------------------------------------------------------------
 
-def _ladder_value_dec(q: Decimal, n: int) -> Decimal:
-    """V_n(q) by the doubling identity; O(n) multiplications."""
-    one = Decimal(1)
-    v = 2 / q
-    if n == 1:
-        return v
-    u = 1 / q
-    g = 1 / (q - 1)
-    for _ in range(1, n):
-        one_minus = one - u
-        v = v * one_minus + 2 * u * one_minus * g + u * u
+def _value_dec(q: Decimal, n: float = math.inf) -> Decimal:
+    """V_n(q) by the Thue-Morse product, or the limit S(q) at n = inf; the
+    factors stop after n - 1 of them or once x^(2^k) < 10^-(prec+2) at the
+    current context precision."""
+    x = 1 / q
+    cut = Decimal(10) ** -(getcontext().prec + 2)
+    product, u, k = Decimal(1), x, 0
+    while k < n - 1 and u >= cut:
+        product *= 1 - u
         u = u * u
-    return v
+        k += 1
+    if u < cut:  # x^L, or a factor past the cut
+        u = 0
+    return (1 + u - (1 - x) * product) / 2 + x * (1 - u) / (1 - x)
 
 
 def _width_digits(n: int, tolerance: float) -> int:
@@ -308,7 +311,7 @@ def _bisect(valfn, lo: Decimal, hi: Decimal, digits: int) -> tuple[Fraction, Fra
 
 @cache
 def _root(n: int, digits: int) -> BaseValue:
-    lo, hi = _bisect(lambda q: _ladder_value_dec(q, n), Decimal(2), Decimal(3), digits)
+    lo, hi = _bisect(lambda q: _value_dec(q, n), Decimal(2), Decimal(3), digits)
     return BaseValue(lo, hi, ladder_index=n)
 
 
@@ -333,21 +336,9 @@ def base_root(n: int, tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
 _KL_INTERNAL_DIGITS = 80
 
 
-def _limit_value_dec(q: Decimal) -> Decimal:
-    """S(q) = sum_i (lambda_i + 1) q^-i by the Thue-Morse product, cut once
-    x^(2^k) < 10^-(prec+2) at the current context precision."""
-    x = 1 / q
-    cut = Decimal(10) ** -(getcontext().prec + 2)
-    product, u = Decimal(1), x
-    while u >= cut:
-        product *= 1 - u
-        u = u * u
-    return (1 - (1 - x) * product) / 2 + x / (1 - x)
-
-
 @cache
 def _kl(digits: int) -> BaseValue:
-    lo, hi = _bisect(_limit_value_dec, Decimal("2.5"), Decimal("2.6"), digits)
+    lo, hi = _bisect(_value_dec, Decimal("2.5"), Decimal("2.6"), digits)
     return BaseValue(lo, hi, is_kl=True)
 
 
@@ -370,11 +361,12 @@ def _kl_digits(tolerance) -> int:
 def kl_constant(tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
     """Certified enclosure of the Komornik-Loreti constant for alphabet {0,1,2}.
 
-    Bisects on S(q) - 1 through the Thue-Morse product P(x) = prod_k
-    (1 - x^(2^k)), x = 1/q, whose factors stop once x^(2^k) < 10^-(prec+2),
-    far inside the sign certifier's noise band, so the enclosure is certified
-    rather than extrapolated. The internal width is at most 1e-80 even for
-    loose tolerances; the ladder roots crowd the limit at double-exponential
+    Bisects on S(q) - 1 with S(q) = (1 - (1 - x) P(x))/2 + x/(1 - x), the
+    ladder value V_n(q) of the module docstring with no bound on n: its
+    product P(x) = prod_k (1 - x^(2^k)), x = 1/q, stops once x^(2^k) <
+    10^-(prec+2), far inside the sign certifier's noise band, so the
+    enclosure is certified rather than extrapolated. The internal width is at
+    most 1e-80 even for loose tolerances; the ladder roots crowd the limit at double-exponential
     speed, so anything wider would not even sit above the n = 8 root.
     classify tightens it around a rational point until the point is outside.
     """

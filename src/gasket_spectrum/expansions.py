@@ -39,18 +39,17 @@ prefix read at each base and serves shorter reads by slicing it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import lcm
 from threading import Lock
 
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
 from .errors import DomainError, PrecisionError, ResourceLimitError
 from .report import float_str
-from .words import Immutable, Seq, Word, dec_last, reflect, tm_block
+from .words import MAX_WORD_LENGTH, Immutable, Seq, Word, dec_last, reflect, tm_block
 
 ALPHA_HORIZON = 4096  # digits of a non-periodic alpha that a comparison may read
 FIRST_WINDOW = 16  # alpha digits a comparison reads before a tie doubles the window
-MAX_WORD_LENGTH = 1 << 24  # longest tail word kl_tail builds
 MAX_EXPAND_DEPTH = 4096  # digits greedy_expand produces; each costs more than the last
 _ALPHA_LOCK = Lock()  # guards the swap of a base's longest alpha prefix
 _REFLECT = bytes.maketrans(b"\x00\x01\x02", b"\x02\x01\x00")  # d -> 2 - d
@@ -175,15 +174,17 @@ def _fixed_point_digits(a: int, b: int, u: Fraction | int, n: int, bits: int) ->
 # Quasi-greedy digits of 1 over {0, 1, 2}
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
 def alpha_period(b: BaseValue) -> bytes | None:
     """The word that alpha(q) repeats for ever at a tagged ladder root, q_n's
     ladder word with its last digit lowered; None at every other base."""
-    if b.ladder_index is None:
-        return None
-    if b.ladder_index < 2:
+    return None if b.ladder_index is None else _ladder_alpha_period(b.ladder_index)
+
+
+@cache  # one entry per ladder index, at most MAX_LADDER_INDEX
+def _ladder_alpha_period(n: int) -> bytes:
+    if n < 2:
         raise DomainError("q = 2 is not a working base")
-    return bytes(dec_last(ladder_word(b.ladder_index).word, alphabet_min=0))
+    return bytes(dec_last(ladder_word(n).word, alphabet_min=0))
 
 
 def alpha_prefix(q, n: int) -> bytes:

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import DomainError, ResourceLimitError
-from .words import Immutable, Seq, Word, dec_last, reflect, tm_block
+from .words import MAX_WORD_LENGTH, Immutable, Seq, Word, dec_last, reflect, tm_block
 
 OMEGA1 = ((0, 0), (0, 1), (1, 0))
 OMEGA2 = frozenset(
@@ -55,9 +55,14 @@ class MatchReport(Immutable):
 
 
 def zip_seqs(a: Seq, b: Seq) -> Seq:
-    """Positionwise pairing; preperiod = max of the inputs', period = lcm."""
+    """Positionwise pairing; preperiod = max of the inputs', period = lcm.
+    A pairing longer than MAX_WORD_LENGTH is refused before it is built."""
     pre_len = max(len(a.preperiod), len(b.preperiod))
-    per_len = (len(a.period) * len(b.period)) // gcd(len(a.period), len(b.period))
+    per_len = lcm(len(a.period), len(b.period))
+    if pre_len + per_len > MAX_WORD_LENGTH:
+        raise ResourceLimitError(
+            f"pairing periods of {len(a.period)} and {len(b.period)} digits needs "
+            f"{pre_len + per_len} digits, beyond the cap {MAX_WORD_LENGTH}")
     pre = tuple((a.digit(i), b.digit(i)) for i in range(1, pre_len + 1))
     per = tuple(
         (a.digit(i), b.digit(i)) for i in range(pre_len + 1, pre_len + per_len + 1)

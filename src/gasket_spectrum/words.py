@@ -16,6 +16,7 @@ from .errors import DomainError, ResourceLimitError
 Word = tuple  # tuple of digits
 
 MAX_BLOCK_EXPONENT = 24  # block 24 has 2^24 digits
+MAX_WORD_LENGTH = 1 << 24  # longest word a tail or a pair sequence may build
 
 
 def thue_morse_bit(i: int) -> int:
@@ -107,9 +108,9 @@ class Seq(Immutable):
     """Eventually periodic sequence preperiod . period^inf over arbitrary digits.
 
     The constructor canonicalizes: the period is reduced to its primitive
-    length, then the preperiod is shortened by rotating the period right while
-    its last digit matches the preperiod's last digit. Two constructions of
-    the same sequence therefore compare (and hash) equal.
+    length, then the preperiod loses its longest suffix that continues the
+    period backwards, and the period is rotated right by that suffix's length.
+    Two constructions of the same sequence therefore compare (and hash) equal.
     """
 
     __slots__ = ("preperiod", "period")
@@ -119,9 +120,12 @@ class Seq(Immutable):
         per = _primitive_period(tuple(period))
         if not per:
             raise DomainError("period must be nonempty")
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = per[-1:] + per[:-1]
+        if pre and pre[-1] == per[-1]:
+            p, k = len(per), 1  # k = length of the suffix to drop
+            while k < len(pre) and pre[-1 - k] == per[-1 - k % p]:
+                k += 1
+            r = p - k % p
+            pre, per = pre[:-k], per[r:] + per[:r]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 

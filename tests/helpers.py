@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: uniqueness is decided
 by exact residual-interval feasibility and by a per-position Seq comparison,
 the quasi-greedy digits of 1 and greedy digits by Fraction recursions,
-sequence values by direct partial summation, roots by plain float bisection
+sequence values by direct partial summation, canonical sequences by one
+rotation per dropped digit, roots by plain float bisection
 on the literal polynomial or by a bisection that certifies every sign it
 takes, shifted pairings and bump witnesses by digit-by-digit scans, ladder
 words by their doubling rule and the bump blocks by four-block concatenation,
@@ -27,6 +28,19 @@ from gasket_spectrum.expansions import (
 )
 from gasket_spectrum.geometry import _CANVAS, LAYER_COLORS
 from gasket_spectrum.words import Seq, Word, dec_last, inc_last, reflect, tm_block
+
+
+def canonical_by_rotation(preperiod, period) -> tuple[Word, Word]:
+    """(preperiod, period) of Seq's canonical form, one digit at a time: the
+    shortest repeating block of the period, then drop a preperiod digit and
+    rotate the period right while the two last digits agree."""
+    pre, per = tuple(preperiod), tuple(period)
+    per = next(per[:d] for d in range(1, len(per) + 1)
+               if len(per) % d == 0 and per == per[:d] * (len(per) // d))
+    while pre and pre[-1] == per[-1]:
+        pre = pre[:-1]
+        per = per[-1:] + per[:-1]
+    return pre, per
 
 
 def seq_digits(seq: Seq, n: int) -> list[int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -65,7 +66,7 @@ def test_ladder_words_match_doubling_reference():
 
 def test_base_root_cap_builds_no_ladder_word(monkeypatch):
     # The cap is checked on the index; no 2^(n-1)-digit word is built for it,
-    # and the root itself comes from the doubling identity, not from a word.
+    # and the root itself comes from the Thue-Morse product, not from a word.
     monkeypatch.setattr(bases, "tm_block", lambda n: pytest.fail("a ladder word was built"))
     monkeypatch.setattr(bases, "_root", functools.cache(bases._root.__wrapped__))
     assert base_root(9).ladder_index == 9
@@ -102,23 +103,52 @@ def test_base_root_polynomial_residual():
         assert abs(value - 1) < 10 * (r.hi - r.lo) + Fraction(1, 10 ** 30)
 
 
-def test_doubling_evaluator_agrees_with_horner():
-    from decimal import Decimal, localcontext
+def test_product_evaluator_agrees_with_horner():
     for n in range(1, 9):
         q = Fraction("2.47")
         exact = ladder_value_exact(q, n)
         with localcontext() as ctx:
             ctx.prec = 60
-            fast = bases._ladder_value_dec(Decimal("2.47"), n)
+            fast = bases._value_dec(Decimal("2.47"), n)
         assert abs(Fraction(str(fast)) - exact) < Fraction(1, 10 ** 50)
 
 
+def test_unbounded_evaluator_is_the_limit_of_the_ladder_values():
+    # S(q) - V_n(q) is the value of the limit word past its first 2^(n-1)
+    # digits, each at most 2: within 2 q^-(2^(n-1)) / (q - 1), plus rounding.
+    for text in ("2.5", "2.53", "2.548", "2.6"):
+        q = Fraction(text)
+        with localcontext() as ctx:
+            ctx.prec = 260  # the n = 10 tail is ~1e-204
+            limit = Fraction(bases._value_dec(Decimal(text)))
+        for n in range(8, 11):
+            gap, rounding = limit - ladder_value_exact(q, n), Fraction(1, 10 ** 250)
+            assert -rounding <= gap <= 2 / (q ** 2 ** (n - 1) * (q - 1)) + rounding, (text, n)
+
+
+def test_deep_enclosures_are_pinned():
+    # The exact (lo, hi) of every root at tolerances 1e-12 and 1e-30 and of
+    # the limit base at five digit counts, as one digest: a change of value
+    # evaluator that moves any enclosure fails here.
+    digest = hashlib.sha256()
+    for tolerance in (1e-12, 1e-30):
+        for n in range(2, MAX_LADDER_INDEX + 1):
+            digits = bases._width_digits(n, tolerance)
+            r = bases._root(n, digits)
+            digest.update(f"root {n} {digits} {r.lo} {r.hi}\n".encode())
+    for digits in (80, 91, 160, 320, 460):
+        kl = bases._kl(digits)
+        digest.update(f"kl {digits} {kl.lo} {kl.hi}\n".encode())
+    assert digest.hexdigest() == (
+        "d144305e2357ef197426eb0d10c2ff2af738483bbb6d6cd2fb4220905a2c3b35")
+
+
 def _ladder_case(n: int, digits: int):
-    return (lambda q: bases._ladder_value_dec(q, n)), Decimal(2), Decimal(3), digits
+    return (lambda q: bases._value_dec(q, n)), Decimal(2), Decimal(3), digits
 
 
 def _kl_case(digits: int):
-    return bases._limit_value_dec, Decimal("2.5"), Decimal("2.6"), digits
+    return bases._value_dec, Decimal("2.5"), Decimal("2.6"), digits
 
 
 def test_guided_bisection_matches_certified_reference():

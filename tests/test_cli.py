@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import time
 
 from fractions import Fraction
 
@@ -126,6 +127,29 @@ def test_huge_decimal_exponents_exit_1_in_bounded_time():
         assert proc.returncode == 1 and shown in proc.stdout, (argv, proc.stderr)
     code, _ = run_cli(expand + ["--x", "1e-1000000"])  # at the cap: still a value
     assert code == 0
+
+
+def test_coprime_long_periods_exit_1_before_pairing(tmp_path):
+    # Periods of 4099 and 4111 digits (both prime) pair into a period of
+    # 16850989 > 2^24 digits; built, that is gigabytes of pairs.
+    x, y = "+" + "0" * 4098 + "^inf", "+-" + "0" * 4109 + "^inf"
+    out = str(tmp_path / "never.svg")
+    for argv in (["density", "--x", x, "--y", y],
+                 ["render", "--q", "2.5", "--t-seq", x, y, "--out", out]):
+        started = time.perf_counter()
+        code, text = run_cli(argv)
+        assert time.perf_counter() - started < 1, argv[0]
+        assert code == 1, argv[0]
+        assert "periods of 4099 and 4111 digits" in text and "cap 16777216" in text, text
+    assert not os.path.exists(out)
+
+
+def test_long_preperiod_continuing_the_period_is_fast():
+    # Cut one digit per pass, this literal took ~19 s to canonicalize.
+    started = time.perf_counter()
+    code, text = run_cli(["unique", "--q", "2.5", "--seq", "0" * 120000 + ";0^inf"])
+    assert code == 0 and "unique: yes" in text
+    assert time.perf_counter() - started < 2
 
 
 def test_long_decimal_coefficient_and_binary_word_exit_1():

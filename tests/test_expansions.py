@@ -236,6 +236,22 @@ def test_shorter_alpha_read_slices_the_longest_prefix(monkeypatch):
     assert len(runs) == ran
 
 
+def test_alpha_period_is_cached_by_ladder_index_only():
+    # Untagged bases leave no entry, so they cannot evict a tagged period,
+    # which is built once per ladder index.
+    expansions._ladder_alpha_period.cache_clear()
+    for k in range(1, 301):
+        assert expansions.alpha_period(bases.as_base_value(2 + Fraction(k, 301))) is None
+    assert expansions._ladder_alpha_period.cache_info().currsize == 0
+    q5 = bases.base_root(5)
+    period = expansions.alpha_period(q5)
+    assert period == bytes(d + 1 for d in tm_block(4)[:-1]) + bytes([tm_block(4)[-1]])
+    assert expansions.alpha_period(bases.BaseValue(q5.lo, q5.hi, ladder_index=5)) is period
+    assert expansions._ladder_alpha_period.cache_info().currsize == 1
+    with pytest.raises(DomainError, match="q = 2 is not a working base"):
+        expansions.alpha_period(bases.base_root(1))
+
+
 def test_alpha_increasing_in_q():
     a = quasi_greedy_alpha(Fraction("2.3"), 40)
     b = quasi_greedy_alpha(Fraction("2.6"), 40)

@@ -64,6 +64,16 @@ def test_zip_period_lcm_and_preperiod_max():
         assert z.digit(i) == (a.digit(i), b.digit(i))
 
 
+def test_zip_refuses_a_pairing_past_the_word_cap():
+    # Coprime prime periods pair into 4099 * 4111 = 16850989 > 2^24 digits.
+    a, b = Seq((), (1,) + (0,) * 4098), Seq((), (1, -1) + (0,) * 4109)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="periods of 4099 and 4111 digits needs "
+                       "16850989 digits, beyond the cap 16777216"):
+        zip_seqs(a, b)
+    assert time.perf_counter() - started < 1
+
+
 def test_analyze_all_zero():
     rep = analyze(Seq((), ((0, 0),)))
     assert rep.matched and rep.zero_pair_in_period

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -23,6 +24,8 @@ from gasket_spectrum.words import (
     tm_block,
     tm_diff,
 )
+
+from helpers import canonical_by_rotation
 
 # Frozen prefixes, independently tabulated.
 TM_BITS_16 = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]
@@ -141,6 +144,28 @@ def test_seq_canonicalization_is_representation_independent():
         k = unroll % len(per)
         per2 = (per[k:] + per[:k]) * rng.randint(1, 3)
         assert Seq(pre2, per2) == s
+
+
+def test_seq_canonicalization_matches_rotation_reference():
+    # The one-pass suffix count gives the form that dropping one digit and
+    # rotating once per pass gives, on a seeded grid with long matching runs.
+    rng = random.Random(26)
+    for _ in range(3000):
+        per = [rng.choice((-1, 0, 1)) for _ in range(rng.randint(1, 6))] * rng.randint(1, 3)
+        reps = per * (2 + 20 // len(per))
+        run = reps[len(reps) - rng.randint(0, 20):] if rng.random() < 0.7 else []
+        head = [rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 3))]
+        s = Seq(head + run, per)
+        assert (s.preperiod, s.period) == canonical_by_rotation(head + run, per)
+
+
+def test_long_matching_preperiod_is_linear():
+    # A 200000-digit preperiod that continues the period backwards took
+    # quadratic time (~8 s at 80000 digits) when cut one digit per pass.
+    started = time.perf_counter()
+    assert Seq((0,) * 200000, (0,)) == Seq((), (0,))
+    assert Seq((0, -1) + (1, 0, -1) * 66666, (1, 0, -1)) == Seq((), (0, -1, 1))
+    assert time.perf_counter() - started < 1
 
 
 def test_seq_canonical_equality():
