@@ -217,10 +217,21 @@ def _value_dec(q: Decimal, n: float = math.inf) -> Decimal:
     return (1 + u - (1 - x) * product) / 2 + x * (1 - u) / (1 - x)
 
 
+@cache
+def _tolerance_digits(tolerance) -> int:
+    """The least d >= 1 with 10^-d <= tolerance, counted exactly."""
+    _check_tolerance(tolerance)
+    tol = Fraction(tolerance)
+    c = -(-tol.denominator // tol.numerator)  # 10^-d <= tol exactly when 10^d >= c
+    d = max(1, (c.bit_length() - 1) * 30102 // 100000)  # a lower bound: log10(2) > 0.30102
+    while 10 ** d < c:
+        d += 1
+    return d
+
+
 def _width_digits(n: int, tolerance: float) -> int:
-    tol_digits = max(1, math.ceil(-math.log10(tolerance)))
     sep_digits = math.ceil(0.404 * (2 ** (n - 1))) + 30
-    return min(max(tol_digits, sep_digits, 40), LADDER_DIGITS_CAP)
+    return min(max(_tolerance_digits(tolerance), sep_digits, 40), LADDER_DIGITS_CAP)
 
 
 def _certified_sign(valfn, mid: Decimal, prec: int) -> int:
@@ -342,33 +353,24 @@ def _kl(digits: int) -> BaseValue:
     return BaseValue(lo, hi, is_kl=True)
 
 
-@cache
 def _kl_digits(tolerance) -> int:
-    _check_tolerance(tolerance)
-    tol = Fraction(tolerance)
-    tol_digits = 1
-    step = Fraction(1, 10)
-    while step > tol and tol_digits <= LADDER_DIGITS_CAP:
-        step /= 10
-        tol_digits += 1
-    digits = max(tol_digits, _KL_INTERNAL_DIGITS)
+    digits = max(_tolerance_digits(tolerance), _KL_INTERNAL_DIGITS)
     if digits > LADDER_DIGITS_CAP:
-        raise PrecisionError(
-            f"tolerance {float(tol)} needs {digits} digits, beyond cap {LADDER_DIGITS_CAP}")
+        raise PrecisionError(f"tolerance {float(tolerance)} needs {digits} digits, "
+                             f"beyond cap {LADDER_DIGITS_CAP}")
     return digits
 
 
 def kl_constant(tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
     """Certified enclosure of the Komornik-Loreti constant for alphabet {0,1,2}.
 
-    Bisects on S(q) - 1 with S(q) = (1 - (1 - x) P(x))/2 + x/(1 - x), the
-    ladder value V_n(q) of the module docstring with no bound on n: its
-    product P(x) = prod_k (1 - x^(2^k)), x = 1/q, stops once x^(2^k) <
-    10^-(prec+2), far inside the sign certifier's noise band, so the
-    enclosure is certified rather than extrapolated. The internal width is at
-    most 1e-80 even for loose tolerances; the ladder roots crowd the limit at double-exponential
-    speed, so anything wider would not even sit above the n = 8 root.
-    classify tightens it around a rational point until the point is outside.
+    Bisects on S(q) - 1, S the ladder value of the module docstring with no
+    bound on n; its product stops far inside the sign certifier's noise band,
+    so the enclosure is certified rather than extrapolated. The internal width
+    is at most 1e-80 even for loose tolerances: the ladder roots crowd the
+    limit at double-exponential speed, so anything wider would not even sit
+    above the n = 8 root. classify tightens it around a rational point until
+    the point is outside.
     """
     return _kl(_kl_digits(tolerance))
 

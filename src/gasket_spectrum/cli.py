@@ -1,9 +1,9 @@
 """Command-line interface: subcommand dispatch, reports, exit codes.
 
-Exit codes: 0 success, 1 domain or resource error, 2 usage error,
-3 precision or ambiguity error. JSON output is canonical (sorted keys,
-fixed separators) and carries timing_ms = 0 unless --timing is given, so
-identical invocations produce identical bytes.
+Exit codes: 0 success, 1 domain or resource error or a failing check,
+2 usage error, 3 precision or ambiguity error. JSON output is canonical
+(sorted keys, fixed separators) and carries timing_ms = 0 unless --timing
+is given, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -327,9 +327,8 @@ def run(argv, stdout=None) -> int:
         config = _config_from_args(args)
         fmt = config.output_format
         result, lines = COMMANDS[args.command](args, config)
-        code = 0
-        if args.command == "selftest" and not result["all_pass"]:
-            code = 1
+        # a failing check report (verify) or battery (selftest) exits 1
+        code = 0 if result.get("pass", result.get("all_pass", True)) else 1
     except PrecisionError as exc:
         result, lines, code = {"error": str(exc)}, [f"  error: {exc}"], 3
     except GasketError as exc:

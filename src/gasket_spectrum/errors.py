@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: DomainError and ResourceLimitError map to 1,
-usage problems to 2, PrecisionError (and its subclasses) to 3.
+usage problems to 2, PrecisionError (and its subclasses) to 3. A failing check
+report (verify, selftest) is printed, not raised, and also exits 1.
 """
 
 
@@ -28,6 +29,3 @@ class AmbiguousClassificationError(PrecisionError):
 class CapabilityError(PrecisionError):
     """A bounded search exhausted its cap without producing a certificate."""
 
-
-class InternalConsistencyError(GasketError):
-    """An invariant that should hold by construction failed; indicates a bug."""

@@ -46,7 +46,7 @@ from threading import Lock
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
 from .errors import DomainError, PrecisionError, ResourceLimitError
 from .report import float_str
-from .words import MAX_WORD_LENGTH, Immutable, Seq, Word, dec_last, reflect, tm_block
+from .words import MAX_WORD_LENGTH, Immutable, Seq, Word, block_word, dec_last, reflect, tm_block
 
 ALPHA_HORIZON = 4096  # digits of a non-periodic alpha that a comparison may read
 FIRST_WINDOW = 16  # alpha digits a comparison reads before a tie doubles the window
@@ -327,14 +327,12 @@ def is_unique_expansion(seq: Seq, q) -> bool:
 # ---------------------------------------------------------------------------
 
 def catalogue_tail(n: int) -> Seq:
-    """n-th catalogue tail: (0,) for n = 0, else the block of exponent n-1
-    followed by its reflection, repeated."""
+    """n-th catalogue tail: (0,) for n = 0, else block_word(n - 1), repeated."""
     if n < 0:
         raise DomainError("catalogue index must be nonnegative")
     if n == 0:
         return Seq((), (0,))
-    e = tm_block(n - 1)
-    return Seq((), e + reflect(e))
+    return Seq((), block_word(n - 1))
 
 
 def find_unique_with_tail(tail: Seq, q, max_preperiod: int = 64) -> Seq | None:
@@ -390,13 +388,12 @@ def kl_tail(desc: KLTailDescriptor) -> Word:
     while len(out) < desc.truncate:
         jk = desc.j[k % len(desc.j)] if desc.j else 0
         lk = desc.l[k % len(desc.l)] if desc.l else 0
-        e = tm_block(k)
         for _ in range(jk):
-            out.extend(e + reflect(e))
+            out.extend(block_word(k))
             if len(out) >= desc.truncate:
                 break
         if lk and len(out) < desc.truncate:
-            out.extend(e + reflect(tm_block(k + 1)))
+            out.extend(tm_block(k) + reflect(tm_block(k + 1)))
         k += 1
     word = tuple(out[: desc.truncate])
     return reflect(word) if desc.reflected else word

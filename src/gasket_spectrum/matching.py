@@ -29,13 +29,15 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, ResourceLimitError
-from .words import MAX_WORD_LENGTH, Immutable, Seq, Word, dec_last, reflect, tm_block
+from .words import Immutable, Seq, Word, block_word, dec_last, reflect, tm_block
 
 OMEGA1 = ((0, 0), (0, 1), (1, 0))
 OMEGA2 = frozenset(
     (a[0] - b[0], a[1] - b[1]) for a in OMEGA1 for b in OMEGA1
 )
-_FORBIDDEN = ((1, 1), (-1, -1))
+# Most pairs zip_seqs builds. A pair costs ~80 bytes, so the cap is ~170 MB,
+# within the ~200 MB that MAX_SCALE allows a verifier report.
+MAX_PAIR_LENGTH = 1 << 21
 
 
 class MatchReport(Immutable):
@@ -56,47 +58,33 @@ class MatchReport(Immutable):
 
 def zip_seqs(a: Seq, b: Seq) -> Seq:
     """Positionwise pairing; preperiod = max of the inputs', period = lcm.
-    A pairing longer than MAX_WORD_LENGTH is refused before it is built."""
+    A pairing longer than MAX_PAIR_LENGTH is refused before it is built."""
     pre_len = max(len(a.preperiod), len(b.preperiod))
     per_len = lcm(len(a.period), len(b.period))
-    if pre_len + per_len > MAX_WORD_LENGTH:
+    if pre_len + per_len > MAX_PAIR_LENGTH:
         raise ResourceLimitError(
             f"pairing periods of {len(a.period)} and {len(b.period)} digits needs "
-            f"{pre_len + per_len} digits, beyond the cap {MAX_WORD_LENGTH}")
-    pre = tuple((a.digit(i), b.digit(i)) for i in range(1, pre_len + 1))
-    per = tuple(
-        (a.digit(i), b.digit(i)) for i in range(pre_len + 1, pre_len + per_len + 1)
-    )
-    return Seq(pre, per)
+            f"{pre_len + per_len} digits, beyond the cap {MAX_PAIR_LENGTH}")
+    pairs = tuple((a.digit(i), b.digit(i)) for i in range(1, pre_len + per_len + 1))
+    return Seq(pairs[:pre_len], pairs[pre_len:])
 
 
 def analyze(p: Seq) -> MatchReport:
     """Scan the preperiod and one full period of a pair sequence."""
-    matched, first_violation = True, None
-    zero_in_period = False
-    zeros = 0
-    pre, per = p.preperiod, p.period
-    for idx, pair in enumerate(pre + per, start=1):
+    first_violation = None
+    for idx, pair in enumerate(p.preperiod + p.period, start=1):
         if pair[0] not in (-1, 0, 1) or pair[1] not in (-1, 0, 1):
             raise DomainError(f"entry {pair!r} is not a pair of ternary digits")
-        if matched and pair in _FORBIDDEN:
-            matched, first_violation = False, idx
-        if idx > len(pre) and pair == (0, 0):
-            zero_in_period = True
-            zeros += 1
+        if first_violation is None and pair not in OMEGA2:
+            first_violation = idx
+    zeros = p.period.count((0, 0))
     return MatchReport(
-        matched=matched,
+        matched=first_violation is None,
         first_violation_index=first_violation,
-        zero_pair_density=Fraction(zeros, len(per)),
-        zero_pair_in_period=zero_in_period,
-        period_length=len(per),
+        zero_pair_density=Fraction(zeros, len(p.period)),
+        zero_pair_in_period=zeros > 0,
+        period_length=len(p.period),
     )
-
-
-def block_word(n: int) -> Word:
-    """The period block(n) + reflect(block(n)) of length 2^(n+1)."""
-    e = tm_block(n)
-    return e + reflect(e)
 
 
 def e_seq(n: int, m: int, i: int) -> Seq:

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .bases import DEFAULT_TOLERANCE, RegimeLabel, as_base_value, classify, require_working_base
-from .errors import CapabilityError, DomainError, InternalConsistencyError
+from .errors import CapabilityError, DomainError
 from .expansions import KLTailDescriptor, is_unique_expansion, kl_tail
 from .matching import VerifierReport, analyze, b_blocks, zip_seqs
 from .words import Immutable, Seq, Word, reflect, tm_block
@@ -48,10 +48,11 @@ def zero_fraction_seq(seq: Seq) -> Fraction:
 
 
 def alternating_density(n: int) -> Fraction:
-    """Closed form (1 - (-1/2)^n) / 3 for the zero density of the n-th block."""
+    """Closed form (1 - (-1/2)^n) / 3 = (2^n - (-1)^n) / (3 2^n) for the zero
+    density of the n-th block."""
     if n < 0:
         raise DomainError("index must be nonnegative")
-    return (1 - Fraction(-1, 2) ** n) / 3
+    return Fraction(2 ** n - (-1) ** n, 3 << n)
 
 
 def block_density_check(max_n: int) -> VerifierReport:
@@ -120,11 +121,8 @@ def _path_word(letters: dict, path: tuple[str, ...]) -> Word:
 
 def sft_pair_words(spec: SFTSpec) -> tuple[Seq, Seq]:
     """The two periodic pair words whose zero-pair densities bound the interval."""
-    letters = spec.letters
-    u1 = zip_seqs(Seq((), _path_word(letters, U1_PATHS[0])),
-                  Seq((), _path_word(letters, U1_PATHS[1])))
-    u2 = zip_seqs(Seq((), _path_word(letters, U2_PATHS[0])),
-                  Seq((), _path_word(letters, U2_PATHS[1])))
+    u1, u2 = (zip_seqs(*(Seq((), _path_word(spec.letters, path)) for path in paths))
+              for paths in (U1_PATHS, U2_PATHS))
     return u1, u2
 
 
@@ -151,14 +149,17 @@ def sft_spec(q, tolerance: float = DEFAULT_TOLERANCE) -> SFTSpec:
 
 
 def sft_densities(spec: SFTSpec) -> tuple[Fraction, Fraction]:
-    """Exact zero-pair densities (d1, d2) of the two extremal words, d1 < d2."""
-    u1, u2 = sft_pair_words(spec)
-    r1, r2 = analyze(u1), analyze(u2)
-    if not (r1.matched and r2.matched):
-        raise InternalConsistencyError("extremal subshift words must be matched")
-    d1, d2 = r1.zero_pair_density, r2.zero_pair_density
-    if not d1 < d2:
-        raise InternalConsistencyError("extremal densities out of order")
+    """Exact zero-pair densities (d1, d2) of the two extremal words.
+
+    Both words are matched and d1 < d2 by construction. Each pairs a letter
+    path with its letterwise reflection (a <-> abar, b <-> bbar), so every
+    pair is (d, -d): never (1,1) or (-1,-1), and (0,0) exactly where d = 0.
+    With z the number of zeros in tm_block(n)[:-1], the letters a and abar
+    hold z + 1 zeros and b and bbar hold z. The first word's path b abar bbar a
+    has 4z + 2 zeros in 2^(n+2) digits, the second's abar a has 2z + 2 in
+    2^(n+1), so d1 = (2z+1)/2^(n+1) < (2z+2)/2^(n+1) = d2.
+    """
+    d1, d2 = (analyze(u).zero_pair_density for u in sft_pair_words(spec))
     return d1, d2
 
 
@@ -180,29 +181,27 @@ def interval_witness(spec: SFTSpec, target, length: int) -> WitnessPrefix:
     target; the deviation at the end is at most one block's worth of digits
     over the total length.
     """
-    d1, d2 = sft_densities(spec)
+    pair_words = sft_pair_words(spec)
+    d1, d2 = (analyze(u).zero_pair_density for u in pair_words)
     t = Fraction(target)
     if not d1 <= t <= d2:
         raise DomainError(f"target {t} outside [{d1}, {d2}]")
     if length < 1:
         raise DomainError("length must be positive")
-    u1, u2 = sft_pair_words(spec)
-    w1, w2 = u1.period, u2.period
-    z1, z2 = int(d1 * len(w1)), int(d2 * len(w2))  # zero pairs per block
+    # each block with its number of zero pairs
+    blocks = [(u.period, int(d * len(u.period))) for u, d in zip(pair_words, (d1, d2))]
     pairs: list = []
-    zeros = 0
-    counts = [0, 0]
+    zeros, counts = 0, [0, 0]
+
+    def miss(k: int) -> Fraction:  # distance from t once block k is appended
+        block, z = blocks[k]
+        return abs(Fraction(zeros + z, len(pairs) + len(block)) - t)
+
     while len(pairs) < length:
-        f1 = Fraction(zeros + z1, len(pairs) + len(w1))
-        f2 = Fraction(zeros + z2, len(pairs) + len(w2))
-        if abs(f1 - t) <= abs(f2 - t):
-            pairs.extend(w1)
-            zeros += z1
-            counts[0] += 1
-        else:
-            pairs.extend(w2)
-            zeros += z2
-            counts[1] += 1
+        k = 0 if miss(0) <= miss(1) else 1
+        pairs.extend(blocks[k][0])
+        zeros += blocks[k][1]
+        counts[k] += 1
     return WitnessPrefix(
         pairs=tuple(pairs),
         target=t,

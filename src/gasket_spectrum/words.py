@@ -16,7 +16,7 @@ from .errors import DomainError, ResourceLimitError
 Word = tuple  # tuple of digits
 
 MAX_BLOCK_EXPONENT = 24  # block 24 has 2^24 digits
-MAX_WORD_LENGTH = 1 << 24  # longest word a tail or a pair sequence may build
+MAX_WORD_LENGTH = 1 << 24  # longest tail word kl_tail may build
 
 
 def thue_morse_bit(i: int) -> int:
@@ -56,6 +56,12 @@ def tm_block(n: int) -> Word:
     if n > MAX_BLOCK_EXPONENT:
         raise ResourceLimitError(f"block exponent {n} exceeds cap {MAX_BLOCK_EXPONENT}")
     return _block(n)
+
+
+def block_word(n: int) -> Word:
+    """The period block(n) + reflect(block(n)) of length 2^(n+1)."""
+    e = tm_block(n)
+    return e + reflect(e)
 
 
 def reflect(word: Word) -> Word:

@@ -9,7 +9,9 @@ on the literal polynomial or by a bisection that certifies every sign it
 takes, shifted pairings and bump witnesses by digit-by-digit scans, ladder
 words by their doubling rule and the bump blocks by four-block concatenation,
 mask folds chunk by chunk, and SVG/PPM files by formatting and painting
-point by point.
+point by point. The sequence value, the residual uniqueness oracle, the band
+midpoint and the float bisection are the selftest battery's, re-exported here
+so that each is stated once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ from gasket_spectrum.expansions import (
     alpha_prefix,
 )
 from gasket_spectrum.geometry import _CANVAS, LAYER_COLORS
+from gasket_spectrum.selftest import (  # noqa: F401  (shared with the selftest battery)
+    band_midpoint,
+    float_bisect,
+    residual_unique,
+    seq_value,
+)
 from gasket_spectrum.words import Seq, Word, dec_last, inc_last, reflect, tm_block
 
 
@@ -54,34 +62,6 @@ def partial_sum(seq: Seq, q: Fraction, terms: int) -> Fraction:
         power /= q
         total += seq.digit(i) * power
     return total
-
-
-def seq_value(seq: Seq, q: Fraction) -> Fraction:
-    """Exact value via summation of preperiod plus a geometric period sum."""
-    v = Fraction(0)
-    scale = Fraction(1)
-    for d in seq.preperiod:
-        scale /= q
-        v += d * scale
-    pv = Fraction(0)
-    ps = Fraction(1)
-    for d in seq.period:
-        ps /= q
-        pv += d * ps
-    return v + scale * pv / (1 - ps)
-
-
-def residual_unique(seq: Seq, q: Fraction) -> bool:
-    """True iff no position admits an alternative digit with representable residual."""
-    bound = Fraction(1) / (q - 1)
-    t = seq_value(seq, q)
-    for k in range(1, len(seq.preperiod) + len(seq.period) + 1):
-        s_k = seq.digit(k)
-        for d in (-1, 0, 1):
-            if d != s_k and -bound <= q * t - d <= bound:
-                return False
-        t = q * t - s_k
-    return True
 
 
 def _compare_seq_with_alpha(tail: Seq, base: bases.BaseValue) -> int:
@@ -201,18 +181,6 @@ def ladder_value_exact(q: Fraction, n: int) -> Fraction:
     return s
 
 
-def float_bisect(poly, lo: float, hi: float, iters: int = 100) -> float:
-    """Plain float bisection; poly(lo) and poly(hi) must bracket a sign change."""
-    flo = poly(lo)
-    for _ in range(iters):
-        mid = (lo + hi) / 2
-        if (poly(mid) > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def certified_bisect(valfn, lo: Decimal, hi: Decimal, digits: int) -> tuple[Fraction, Fraction]:
     """Shrink [lo, hi] to width 10^-digits around the crossing of valfn = 1,
     certifying the sign of valfn - 1 at every mid: the reference enclosure
@@ -228,14 +196,6 @@ def certified_bisect(valfn, lo: Decimal, hi: Decimal, digits: int) -> tuple[Frac
             else:
                 hi = mid
     return Fraction(lo), Fraction(hi)
-
-
-def band_midpoint(m: int) -> bases.BaseValue:
-    """Rational point halfway between consecutive ladder roots."""
-    lo = bases.base_root(m)
-    hi = bases.base_root(m + 1)
-    mid = (lo.hi + hi.lo) / 2
-    return bases.BaseValue(mid, mid)
 
 
 def lex_largest_prefix_bruteforce(x: Fraction, q: Fraction, depth: int) -> tuple:

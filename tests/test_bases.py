@@ -318,6 +318,29 @@ def test_kl_rejects_bad_tolerance():
         kl_constant(Fraction(1, 10 ** 500))
 
 
+def test_one_exact_digit_rule_sets_roots_and_limit(monkeypatch):
+    # The digits of a tolerance are the least d >= 1 with 10^-d <= tolerance,
+    # read exactly: the float 1e-12 lies below 10^-12 and needs 13.
+    def least(tol):
+        d = 1
+        while Fraction(1, 10 ** d) > Fraction(tol):
+            d += 1
+        return d
+
+    grid = (1.0, 0.5, 0.1, 1e-12, 1e-30, 1e-90, 2e-90, 1e-200, 1e-300, 5e-324,
+            Fraction(1, 10 ** 90), Fraction(3, 7 * 10 ** 40), Fraction(1, 10 ** 500))
+    for tol in grid:
+        assert bases._tolerance_digits(tol) == least(tol), tol
+    assert [bases._tolerance_digits(t) for t in (1e-12, 1e-90, 1e-200)] == [13, 91, 201]
+    deep = Fraction(1, 10 ** 500)
+    assert bases._width_digits(2, deep) == bases.LADDER_DIGITS_CAP
+    with pytest.raises(PrecisionError, match="needs 500 digits, beyond cap 460"):
+        kl_constant(deep)
+    # roots and the limit base both read their digits from the one rule
+    monkeypatch.setattr(bases, "_tolerance_digits", lambda tol: 123)
+    assert bases._width_digits(2, 0.5) == 123 and bases._kl_digits(0.5) == 123
+
+
 def test_classify_points():
     assert classify("2.2") == bases.RegimeLabel("finite", 1)
     assert classify("2.9") == bases.RegimeLabel("interval")

@@ -130,9 +130,9 @@ def test_huge_decimal_exponents_exit_1_in_bounded_time():
 
 
 def test_coprime_long_periods_exit_1_before_pairing(tmp_path):
-    # Periods of 4099 and 4111 digits (both prime) pair into a period of
-    # 16850989 > 2^24 digits; built, that is gigabytes of pairs.
-    x, y = "+" + "0" * 4098 + "^inf", "+-" + "0" * 4109 + "^inf"
+    # Periods of 1451 and 1453 digits (both prime) pair into a period of
+    # 2108303 > 2^21 digits, just past the cap.
+    x, y = "+" + "0" * 1450 + "^inf", "+-" + "0" * 1451 + "^inf"
     out = str(tmp_path / "never.svg")
     for argv in (["density", "--x", x, "--y", y],
                  ["render", "--q", "2.5", "--t-seq", x, y, "--out", out]):
@@ -140,7 +140,7 @@ def test_coprime_long_periods_exit_1_before_pairing(tmp_path):
         code, text = run_cli(argv)
         assert time.perf_counter() - started < 1, argv[0]
         assert code == 1, argv[0]
-        assert "periods of 4099 and 4111 digits" in text and "cap 16777216" in text, text
+        assert "periods of 1451 and 1453 digits" in text and "cap 2097152" in text, text
     assert not os.path.exists(out)
 
 
@@ -462,6 +462,36 @@ def test_render_output_matches_reference_emitters(tmp_path):
         assert open(out, "rb").read() == open(want, "rb").read(), name
 
 
+def test_render_reports_pinned_and_image_written(tmp_path, monkeypatch):
+    # The report of render in text and JSON, chosen by --format or GS_FORMAT;
+    # the image is written either way. A relative --out keeps the bytes fixed.
+    for key in ENV_KEYS:
+        monkeypatch.delenv(key, raising=False)
+    monkeypatch.chdir(tmp_path)
+    argv = ["render", "--q", "2.5", "--t-seq", "+0-0^inf", "0;+0-0^inf",
+            "--depth", "3", "--out", "pic.svg"]
+    text = "render:\n  wrote pic.svg (svg, 55 points)\n"
+    cases = (
+        (["--format", "text"], None, hashlib.sha256(text.encode()).hexdigest()),
+        (["--format", "json"], None,
+         "f4182fc1357365343eb112feaef786e7f7a10a2a71f08959b26a5d82bce4c618"),
+        ([], "json", "0e0782331b9e5d5b4d6b33bdf6cbfd98c77ab893a43370cb332b537e74936662"),
+        (["--format", "svg"], "json",
+         "f92952b0f67be9c282127a2f30d045f6e2408402259a264944f6240b0a5bbbb0"),
+    )
+    for flags, env, digest in cases:
+        if env is None:
+            monkeypatch.delenv("GS_FORMAT", raising=False)
+        else:
+            monkeypatch.setenv("GS_FORMAT", env)
+        if os.path.exists("pic.svg"):
+            os.remove("pic.svg")
+        code, out = run_cli(argv + flags)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, (flags, out)
+        with open("pic.svg", "rb") as fh:
+            assert fh.read().startswith(b"<svg"), flags
+
+
 def test_render_spec_format_alias(tmp_path):
     out = str(tmp_path / "alias.ppm")
     code, _ = run_cli(["render", "--q", "2.5", "--t-seq", "+0-0^inf", "0;+0-0^inf",
@@ -505,6 +535,21 @@ def test_selftest_passes_and_detects_fault(monkeypatch):
     assert code == 1
     failed = {item["name"] for item in payload["result"]["items"] if not item["pass"]}
     assert "block-calculus" in failed
+
+
+def test_failing_verify_report_exits_1(monkeypatch):
+    # A check whose report fails exits 1, as a failing selftest does, in
+    # text and in JSON; the report is still printed.
+    failing = matching.VerifierReport(check="3.1", params={"n": 2}, passed=False,
+                                      counterexamples=[{"i": 3, "reason": "injected"}])
+    monkeypatch.setitem(cli.CHECK_RUNNERS, "3.1", lambda args: failing)
+    code, text = run_cli(["verify", "--lemma", "3.1", "--n", "2"])
+    assert code == 1
+    assert text == ("verify:\n  check 3.1: FAIL\n"
+                    "  counterexamples: [{'i': 3, 'reason': 'injected'}]\n")
+    code, payload = run_json(["verify", "--lemma", "3.1", "--n", "2"])
+    assert code == 1 and payload["result"]["pass"] is False
+    assert payload["result"]["counterexamples"] == [{"i": 3, "reason": "injected"}]
 
 
 def test_selftest_has_no_assert_statements():

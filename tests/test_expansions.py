@@ -23,7 +23,7 @@ from gasket_spectrum.expansions import (
     quasi_greedy_alpha,
     uniqueness_verdict,
 )
-from gasket_spectrum.words import Seq, reflect, tm_block
+from gasket_spectrum.words import Seq, block_word, reflect, tm_block
 
 from helpers import (
     band_midpoint,
@@ -279,6 +279,12 @@ def test_uniqueness_at_tagged_ladder_point():
     q3 = bases.base_root(3)
     assert not is_unique_expansion(catalogue_tail(2), q3)
     assert is_unique_expansion(catalogue_tail(1), q3)
+
+
+def test_catalogue_tail_repeats_the_block_word():
+    assert catalogue_tail(0) == Seq((), (0,))
+    for n in range(1, 12):
+        assert catalogue_tail(n) == Seq((), block_word(n - 1)), n
 
 
 def test_uniqueness_constant_sequences():

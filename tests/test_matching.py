@@ -65,11 +65,11 @@ def test_zip_period_lcm_and_preperiod_max():
 
 
 def test_zip_refuses_a_pairing_past_the_word_cap():
-    # Coprime prime periods pair into 4099 * 4111 = 16850989 > 2^24 digits.
-    a, b = Seq((), (1,) + (0,) * 4098), Seq((), (1, -1) + (0,) * 4109)
+    # Coprime prime periods pair into 1451 * 1453 = 2108303 > 2^21 digits.
+    a, b = Seq((), (1,) + (0,) * 1450), Seq((), (1, -1) + (0,) * 1451)
     started = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="periods of 4099 and 4111 digits needs "
-                       "16850989 digits, beyond the cap 16777216"):
+    with pytest.raises(ResourceLimitError, match="periods of 1451 and 1453 digits needs "
+                       "2108303 digits, beyond the cap 2097152"):
         zip_seqs(a, b)
     assert time.perf_counter() - started < 1
 

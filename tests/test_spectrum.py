@@ -55,6 +55,8 @@ def test_alternating_density_closed_form():
     for n in range(0, 20):
         d = alternating_density(n)
         assert abs(d - Fraction(1, 3)) == Fraction(1, 3 * 2 ** n)
+    for n in range(0, 300):  # the power form is the reference
+        assert alternating_density(n) == (1 - Fraction(-1, 2) ** n) / 3, n
 
 
 def test_block_density_check_exact():
@@ -215,15 +217,18 @@ def test_sft_spec_requires_interval_regime():
 
 
 def test_sft_densities_formulas():
-    # counted densities match (2z+1)/2^(n+1) and (z+1)/2^n with z the number
-    # of zeros among the first 2^n - 1 difference terms
-    from gasket_spectrum.spectrum import SFTSpec
-    for n in range(1, 11):
+    # At every scale sft_spec may pick, both extremal words are matched and
+    # the counted densities are (2z+1)/2^(n+1) < (2z+2)/2^(n+1), z the number
+    # of zeros among the first 2^n - 1 difference terms: the order that
+    # sft_densities proves rather than checks.
+    from gasket_spectrum.spectrum import SFT_MAX_N, SFTSpec
+    for n in range(1, SFT_MAX_N + 1):
         spec = SFTSpec(n=n, letters=sft_letters(n))
+        assert all(analyze(u).matched for u in sft_pair_words(spec)), n
         d1, d2 = sft_densities(spec)
         z = sum(1 for d in tm_block(n)[:-1] if d == 0)
         assert d1 == Fraction(2 * z + 1, 2 ** (n + 1))
-        assert d2 == Fraction(z + 1, 2 ** n)
+        assert d2 == Fraction(2 * z + 2, 2 ** (n + 1))
         assert d1 < d2
 
 
