@@ -44,6 +44,8 @@ from .words import Immutable, Word, tm_block
 
 DEFAULT_TOLERANCE = 1e-12  # enclosure width asked of roots and of the limit base
 MAX_LADDER_INDEX = 24  # ladder word 24 has 2^23 digits
+KL_TERMS = 32  # family terms a Komornik-Loreti spectrum lists by default
+MAX_KL_TERMS = 1024  # family terms a KL report lists; its size grows quadratically
 LADDER_DIGITS_CAP = 460  # deepest enclosure, in decimal digits
 # Largest |decimal exponent| of a numeric literal: 10^k exactly is a k-digit
 # integer, built in ~0.3 s at k = 10^6 and ~11 s at 10^7 (2-vCPU host).
@@ -187,6 +189,14 @@ def _check_ladder_index(n: int) -> None:
 def _check_tolerance(tolerance) -> None:
     if not 0 < tolerance < math.inf:
         raise DomainError("tolerance must be positive and finite")
+
+
+def check_kl_terms(kl_terms: int) -> None:
+    """Refuse a KL family size outside 1..MAX_KL_TERMS."""
+    if kl_terms < 1:
+        raise DomainError("kl_terms must be a positive integer")
+    if kl_terms > MAX_KL_TERMS:
+        raise DomainError(f"kl_terms {kl_terms} exceeds cap {MAX_KL_TERMS}")
 
 
 def ladder_word(n: int) -> LadderWord:

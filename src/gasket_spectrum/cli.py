@@ -13,16 +13,27 @@ import sys
 import time
 from fractions import Fraction
 
-from . import bases, expansions, matching, spectrum, words
+# Only what every command needs is imported here; each command imports the
+# rest of the library (expansions, matching, spectrum, geometry) itself.
+from . import bases, words
 from .config import RunConfig, load_config
 from .errors import DomainError, GasketError, PrecisionError, ResourceLimitError
 from .report import decimal_str, fraction_str, report_bytes
 from .words import Seq, format_seq, format_word, parse_seq
 
+
+def _matching():
+    """The matching module, for the CHECK_RUNNERS, which cannot import it themselves."""
+    from . import matching
+
+    return matching
+
+
 CHECK_RUNNERS = {
-    "3.1": lambda args: matching.verify_shift_trichotomy(args.n),
-    "3.2": lambda args: matching.verify_bump_witnesses(args.n, args.variant),
-    "3.4": lambda args: matching.verify_cross_scale(args.n, args.m if args.m is not None else args.n),
+    "3.1": lambda args: _matching().verify_shift_trichotomy(args.n),
+    "3.2": lambda args: _matching().verify_bump_witnesses(args.n, args.variant),
+    "3.4": lambda args: _matching().verify_cross_scale(
+        args.n, args.m if args.m is not None else args.n),
 }
 
 
@@ -129,9 +140,7 @@ def _parse_base(text: str, config: RunConfig) -> bases.BaseValue:
 # ---------------------------------------------------------------------------
 
 def _cmd_bases(args, config):
-    if args.bases_max_n > bases.MAX_LADDER_INDEX:  # the row past the cap fails before any root
-        raise PrecisionError(
-            f"ladder index {bases.MAX_LADDER_INDEX + 1} exceeds cap {bases.MAX_LADDER_INDEX}")
+    bases._check_ladder_index(args.bases_max_n)  # a bad last row fails before any root
     rows = []
     prev_mid = None
     for n in range(1, args.bases_max_n + 1):
@@ -168,6 +177,8 @@ def _cmd_classify(args, config):
 
 
 def _cmd_expand(args, config):
+    from . import expansions
+
     q = _parse_base(args.q, config)
     x = bases.parse_rational(args.x, "value")
     digits = expansions.greedy_expand(x, q, args.depth)
@@ -182,6 +193,8 @@ def _cmd_expand(args, config):
 
 
 def _cmd_unique(args, config):
+    from . import expansions
+
     q = _parse_base(args.q, config)
     seq = parse_seq(args.seq)
     verdict = expansions.uniqueness_verdict(seq, q)
@@ -195,11 +208,15 @@ def _cmd_unique(args, config):
 
 def _cmd_density(args, config):
     if args.seq and not (args.x or args.y):
+        from . import spectrum
+
         seq = parse_seq(args.seq)
         d = spectrum.zero_fraction_seq(seq)
         result = {"seq": format_seq(seq), "zero_density": d}
         return result, [f"  zero density: {fraction_str(d)}"]
     if args.x and args.y and not args.seq:
+        from . import matching
+
         pair = matching.zip_seqs(parse_seq(args.x), parse_seq(args.y))
         rep = matching.analyze(pair)
         result = {"pair": rep.to_json_dict()}
@@ -225,6 +242,8 @@ def _cmd_verify(args, config):
 
 
 def _cmd_dq(args, config):
+    from . import spectrum
+
     q = _parse_base(args.q, config)
     s = spectrum.spectrum_of(q, config.tolerance, config.kl_terms)
     provenance = {"q_enclosure": [str(q.lo), str(q.hi)]}
@@ -245,7 +264,7 @@ def _cmd_dq(args, config):
 
 
 def _cmd_render(args, config):
-    from . import geometry  # imported here: no other command loads it
+    from . import geometry, matching
 
     q = _parse_base(args.q, config)
     sx = parse_seq(args.t_seq[0])

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import os
 
-from .bases import DEFAULT_TOLERANCE, _check_tolerance
+from .bases import DEFAULT_TOLERANCE, KL_TERMS, _check_tolerance, check_kl_terms
 from .errors import DomainError
-from .spectrum import KL_TERMS, check_kl_terms
 from .words import MAX_BLOCK_EXPONENT, Immutable
 
 # Environment variable names, documented in the README.

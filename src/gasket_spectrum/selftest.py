@@ -253,7 +253,8 @@ CHECKS = (
 
 
 def run_selftest(tolerance: float = bases.DEFAULT_TOLERANCE) -> dict:
-    """Run CHECKS with roots, limit base and spectra at tolerance; KL spectra list KL_TERMS terms."""
+    """Run CHECKS with roots, limit base and spectra at tolerance; KL spectra
+    list spectrum_of's default of bases.KL_TERMS terms."""
     items = []
     for name, fn in CHECKS:
         try:

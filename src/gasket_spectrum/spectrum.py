@@ -14,25 +14,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bases import DEFAULT_TOLERANCE, RegimeLabel, as_base_value, classify, require_working_base
+# expansions and matching are imported by the functions that use them, so the
+# finite and Komornik-Loreti regimes load neither. MAX_KL_TERMS stays
+# importable from here, where spectrum_of applies it.
+from .bases import (DEFAULT_TOLERANCE, KL_TERMS, MAX_KL_TERMS, RegimeLabel, as_base_value,
+                    check_kl_terms, classify, require_working_base)
 from .errors import CapabilityError, DomainError
-from .expansions import KLTailDescriptor, is_unique_expansion, kl_tail
-from .matching import VerifierReport, analyze, b_blocks, zip_seqs
 from .words import Immutable, Seq, Word, reflect, tm_block
 
 # The unique-expansion subshift as a successor table: letter -> letters that may follow.
 SFT_NEXT = {"a": ("b", "abar"), "b": ("abar",), "abar": ("a", "bbar"), "bbar": ("a",)}
 SFT_MAX_N = 12  # largest letter scale sft_spec tries
-KL_TERMS = 32  # family terms a Komornik-Loreti spectrum lists by default
-MAX_KL_TERMS = 1024  # family terms a KL report lists; its size grows quadratically
-
-
-def check_kl_terms(kl_terms: int) -> None:
-    """Refuse a KL family size outside 1..MAX_KL_TERMS."""
-    if kl_terms < 1:
-        raise DomainError("kl_terms must be a positive integer")
-    if kl_terms > MAX_KL_TERMS:
-        raise DomainError(f"kl_terms {kl_terms} exceeds cap {MAX_KL_TERMS}")
 
 
 def zero_fraction(word: Word) -> Fraction:
@@ -57,6 +49,8 @@ def alternating_density(n: int) -> Fraction:
 
 def block_density_check(max_n: int) -> VerifierReport:
     """Exact equality of counted block zero densities with the closed form."""
+    from .matching import VerifierReport
+
     counterexamples = []
     for n in range(0, max_n + 1):
         counted = zero_fraction(tm_block(n))
@@ -121,6 +115,8 @@ def _path_word(letters: dict, path: tuple[str, ...]) -> Word:
 
 def sft_pair_words(spec: SFTSpec) -> tuple[Seq, Seq]:
     """The two periodic pair words whose zero-pair densities bound the interval."""
+    from .matching import zip_seqs
+
     u1, u2 = (zip_seqs(*(Seq((), _path_word(spec.letters, path)) for path in paths))
               for paths in (U1_PATHS, U2_PATHS))
     return u1, u2
@@ -133,6 +129,8 @@ def sft_spec(q, tolerance: float = DEFAULT_TOLERANCE) -> SFTSpec:
     monotone (a scale can fail while a smaller and a larger one pass), so the
     search walks n = 1, 2, ... up to the cap.
     """
+    from .expansions import is_unique_expansion
+
     b = as_base_value(q)
     if classify(b, tolerance).kind != "interval":
         raise DomainError("the subshift construction applies above the Komornik-Loreti base")
@@ -159,6 +157,8 @@ def sft_densities(spec: SFTSpec) -> tuple[Fraction, Fraction]:
     has 4z + 2 zeros in 2^(n+2) digits, the second's abar a has 2z + 2 in
     2^(n+1), so d1 = (2z+1)/2^(n+1) < (2z+2)/2^(n+1) = d2.
     """
+    from .matching import analyze
+
     d1, d2 = (analyze(u).zero_pair_density for u in sft_pair_words(spec))
     return d1, d2
 
@@ -181,6 +181,8 @@ def interval_witness(spec: SFTSpec, target, length: int) -> WitnessPrefix:
     target; the deviation at the end is at most one block's worth of digits
     over the total length.
     """
+    from .matching import analyze
+
     pair_words = sft_pair_words(spec)
     d1, d2 = (analyze(u).zero_pair_density for u in pair_words)
     t = Fraction(target)
@@ -225,6 +227,9 @@ def kl_density_check(horizon: int,
     of them, and only acceptance c07 and the selftest compare the j=1,l=1 row
     with 1/384.
     """
+    from .expansions import KLTailDescriptor, kl_tail
+    from .matching import VerifierReport, b_blocks
+
     if horizon < 16:
         raise DomainError("horizon too small to be informative")
     counterexamples = []

@@ -208,6 +208,19 @@ def test_bases_past_the_ladder_cap_fails_before_any_root(monkeypatch):
     assert calls == []
 
 
+def test_bases_below_the_first_ladder_index_exits_1(monkeypatch):
+    # A row count below 1 is refused by the ladder's own index check (exit 1),
+    # before any root or the limit base is computed.
+    calls = []
+    for name in ("base_root", "kl_constant"):
+        real = getattr(bases, name)
+        monkeypatch.setattr(bases, name, lambda *a, real=real: calls.append(a) or real(*a))
+    for value in ("0", "-3"):
+        code, text = run_cli(["bases", f"--max-n={value}"])
+        assert code == 1 and text == "bases:\n  error: ladder index must be >= 1\n", value
+    assert calls == []
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli(["no-such-command"])
     assert code == 2
@@ -643,8 +656,9 @@ def test_every_subcommand_takes_the_common_flags(tmp_path, monkeypatch):
 
 def test_cli_import_loads_no_code_generation_or_unused_modules():
     # The records are plain classes, so importing the CLI needs neither
-    # dataclasses nor the inspect machinery it pulls in; geometry and the
-    # selftest battery load only for the commands that use them. Annotations
+    # dataclasses nor the inspect machinery it pulls in; expansions, matching,
+    # spectrum, geometry and the selftest battery load only for the commands
+    # that use them (test_each_command_loads_only_its_modules). Annotations
     # are never evaluated, so typing is not needed either, and json loads only
     # where JSON is written or a config file read.
     import subprocess
@@ -653,8 +667,9 @@ def test_cli_import_loads_no_code_generation_or_unused_modules():
     import gasket_spectrum
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(gasket_spectrum.__file__)))
-    unwanted = ("dataclasses", "inspect", "typing", "json", "gasket_spectrum.geometry",
-                "gasket_spectrum.selftest")
+    unwanted = ("dataclasses", "inspect", "typing", "json", "gasket_spectrum.expansions",
+                "gasket_spectrum.geometry", "gasket_spectrum.matching",
+                "gasket_spectrum.selftest", "gasket_spectrum.spectrum")
     script = ("import sys, gasket_spectrum.cli\n"
               f"print(sorted(m for m in {unwanted!r} if m in sys.modules))\n")
     # -S: no site hooks, so only the package's own imports are seen
@@ -672,6 +687,55 @@ def test_cli_import_loads_no_code_generation_or_unused_modules():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# The library modules each command loads, beyond cli and the modules every
+# command needs (bases, config, errors, report, words). A new command must add
+# its rows here.
+_COMMAND_MODULES = (
+    (["bases", "--max-n", "3"], set()),
+    (["classify", "--q", "2.45"], set()),
+    (["classify", "--q", "2.9"], set()),
+    (["dq", "--q", "2.45"], {"spectrum"}),
+    (["dq", "--q", "kl"], {"spectrum"}),
+    (["dq", "--q", "1.75"], {"spectrum"}),
+    (["dq", "--q", "2.9"], {"spectrum", "expansions", "matching"}),
+    (["unique", "--q", "2.55", "--seq", "+0-0^inf"], {"expansions"}),
+    (["expand", "--q", "2.5", "--x", "1/3"], {"expansions"}),
+    (["density", "--seq", "+0;-0^inf"], {"spectrum"}),
+    (["density", "--x", "+0^inf", "--y=-0^inf"], {"matching"}),
+    (["verify", "--lemma", "3.1", "--n", "2"], {"matching"}),
+    (["verify", "--lemma", "3.4", "--n", "2", "--m", "3"], {"matching"}),
+    (["render", "--q", "2.5", "--t-seq", "0^inf", "0^inf", "--depth", "2"],
+     {"expansions", "geometry", "matching"}),
+    (["selftest"], {"expansions", "geometry", "matching", "selftest", "spectrum"}),
+)
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    import subprocess
+    import sys
+
+    import gasket_spectrum
+
+    assert {argv[0] for argv, _ in _COMMAND_MODULES} == set(cli.COMMANDS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gasket_spectrum.__file__)))
+    script = ("import io, sys\n"
+              "from gasket_spectrum import cli\n"
+              "code = cli.run(sys.argv[1:], io.StringIO())\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('gasket_spectrum.')))\n")
+    always = {"bases", "cli", "config", "errors", "report", "words"}
+    for argv, modules in _COMMAND_MODULES:
+        if argv[0] == "render":
+            argv = argv + ["--out", str(tmp_path / "r.svg")]
+        # -S: no site hooks, so only the package's own imports are seen
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.split()
+        assert code == ("1" if "1.75" in argv else "0"), argv
+        assert set(loaded) == {f"gasket_spectrum.{m}" for m in always | modules}, argv
 
 
 def test_kl_base_follows_run_tolerance():
