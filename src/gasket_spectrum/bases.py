@@ -29,18 +29,25 @@ margin; inside the band the precision is raised until the sign is certain
 (midpoints are rational, the roots irrational for n >= 2 and the limit
 transcendental, so this terminates). A rational point inside the KL
 enclosure tightens it until the point falls outside.
+
+A rational point below KL is placed among the roots by bisection over one
+table per enclosure precision, holding the roots certified so far in index
+order; the next root is certified only when the point lies above all of them,
+so a band-m point certifies roots 2..m+1, as a scan in index order would.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cache
+from threading import Lock
 
 from .errors import AmbiguousClassificationError, DomainError, PrecisionError
 from .report import float_str
-from .words import Immutable, Word, tm_block
+from .words import Immutable, Word, fields_repr, tm_block
 
 DEFAULT_TOLERANCE = 1e-12  # enclosure width asked of roots and of the limit base
 MAX_LADDER_INDEX = 24  # ladder word 24 has 2^23 digits
@@ -74,10 +81,7 @@ class BaseValue(Immutable):
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "ladder_index", ladder_index)
         object.__setattr__(self, "is_kl", is_kl)
-        # Hashing a 400-digit Fraction is slow and the alpha cache hashes its
-        # key on every lookup, so hash once. Equal values share lo and hi;
-        # hash(None) varies between processes, so the tags stay out of it.
-        object.__setattr__(self, "_hash", hash((lo, hi)))
+        object.__setattr__(self, "_hash", None)
 
     def __eq__(self, other):
         if not isinstance(other, BaseValue):
@@ -86,11 +90,17 @@ class BaseValue(Immutable):
                 and self.ladder_index == other.ladder_index and self.is_kl == other.is_kl)
 
     def __hash__(self) -> int:
+        # Hashing a 400-digit Fraction takes microseconds: most values are
+        # never hashed, and the alpha cache hashes its key on every lookup, so
+        # the first call hashes and keeps the result. Equal values share lo and
+        # hi; hash(None) varies between processes, so the tags stay out of it.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.lo, self.hi)))
         return self._hash
 
     @property
     def value(self) -> float:
-        return float((self.lo + self.hi) / 2)
+        return float(self.midpoint)
 
     @property
     def radius(self) -> float:
@@ -98,7 +108,7 @@ class BaseValue(Immutable):
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return self.lo if self.is_point else (self.lo + self.hi) / 2
 
     @property
     def is_point(self) -> bool:
@@ -119,6 +129,8 @@ class RegimeLabel(Immutable):
 
     def __hash__(self) -> int:
         return hash((self.kind, self.m))
+
+    __repr__ = fields_repr
 
     def to_json_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -239,9 +251,15 @@ def _tolerance_digits(tolerance) -> int:
     return d
 
 
+def _table_digits(tolerance) -> int:
+    """Digits a tolerance asks of every root enclosure: with the index they
+    fix each root's width, so they key the root table."""
+    return min(max(_tolerance_digits(tolerance), 40), LADDER_DIGITS_CAP)
+
+
 def _width_digits(n: int, tolerance: float) -> int:
     sep_digits = math.ceil(0.404 * (2 ** (n - 1))) + 30
-    return min(max(_tolerance_digits(tolerance), sep_digits, 40), LADDER_DIGITS_CAP)
+    return min(max(_table_digits(tolerance), sep_digits), LADDER_DIGITS_CAP)
 
 
 def _certified_sign(valfn, mid: Decimal, prec: int) -> int:
@@ -336,6 +354,16 @@ def _root(n: int, digits: int) -> BaseValue:
     return BaseValue(lo, hi, ladder_index=n)
 
 
+_ROOT_TABLE_LOCK = Lock()  # guards the swap of a root table
+
+
+@cache
+def _root_table(digits: int) -> list:
+    """A one-slot list holding (his, roots) at table precision digits: the
+    roots 2, 3, ... certified so far, in index order, and their hi ends."""
+    return [((), ())]
+
+
 def base_root(n: int, tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
     """Unique root in [2, 3) of 1 = V_n(q), as a certified rational enclosure.
 
@@ -400,6 +428,7 @@ def classify(q, tolerance: float = DEFAULT_TOLERANCE) -> RegimeLabel:
     A rational point never equals KL: inside the KL enclosure it tightens the
     enclosure, and below KL it is placed among the certified ladder roots.
     """
+    _check_tolerance(tolerance)
     b = as_base_value(q)
     if b.ladder_index is not None:
         if b.ladder_index == 1:
@@ -417,18 +446,39 @@ def classify(q, tolerance: float = DEFAULT_TOLERANCE) -> RegimeLabel:
             raise AmbiguousClassificationError("enclosure endpoints lie in different regimes")
         return low
     digits = _kl_digits(tolerance)
-    while _kl(digits).lo <= b.lo <= _kl(digits).hi:
+    kl = _kl(digits)
+    while kl.lo <= b.lo <= kl.hi:
         if digits == LADDER_DIGITS_CAP:
             raise PrecisionError(f"base lies inside the {digits}-digit Komornik-Loreti enclosure")
         digits = min(2 * digits, LADDER_DIGITS_CAP)
-    if b.lo > _kl(digits).hi:
+        kl = _kl(digits)
+    if b.lo > kl.hi:
         return RegimeLabel("interval")
-    for n in range(2, MAX_LADDER_INDEX + 1):
-        qn = base_root(n, tolerance)
-        if qn.lo > b.lo:
-            return RegimeLabel("finite", n - 1)
-        if qn.hi >= b.lo:
-            raise AmbiguousClassificationError(f"base lies inside the enclosure of ladder point {n}")
-    raise PrecisionError(
-        f"no band found below the ladder cap {MAX_LADDER_INDEX}; "
-        "the base is too close to the Komornik-Loreti constant")
+    return _place(b.lo, tolerance)
+
+
+def _place(x: Fraction, tolerance) -> RegimeLabel:
+    """Band of a rational x below KL, decided by the first root n with
+    hi_n >= x: finite n - 1 when lo_n > x, else x lies in root n's enclosure.
+    bisect_left finds n among the certified roots, whose enclosures are
+    disjoint through n = 12, and root 12's reaches into the KL enclosure, so
+    no x below KL needs root 13. Root n + 1 is certified only when x lies
+    above every hi, as a scan in index order would."""
+    slot = _root_table(_table_digits(tolerance))
+    his, roots = slot[0]  # one slot, swapped whole, so racing readers see a pair
+    while not his or his[-1] < x:
+        n = len(roots) + 2
+        if n > MAX_LADDER_INDEX:
+            raise PrecisionError(
+                f"no band found below the ladder cap {MAX_LADDER_INDEX}; "
+                "the base is too close to the Komornik-Loreti constant")
+        root = base_root(n, tolerance)
+        with _ROOT_TABLE_LOCK:  # a racing thread may have added root n already
+            his, roots = slot[0]
+            if len(roots) == n - 2:
+                his, roots = his + (root.hi,), roots + (root,)
+                slot[0] = (his, roots)
+    i = bisect_left(his, x)
+    if roots[i].lo > x:
+        return RegimeLabel("finite", i + 1)
+    raise AmbiguousClassificationError(f"base lies inside the enclosure of ladder point {i + 2}")

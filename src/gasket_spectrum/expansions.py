@@ -46,7 +46,8 @@ from threading import Lock
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
 from .errors import DomainError, PrecisionError, ResourceLimitError
 from .report import float_str
-from .words import MAX_WORD_LENGTH, Immutable, Seq, Word, block_word, dec_last, reflect, tm_block
+from .words import (MAX_WORD_LENGTH, Immutable, Seq, Word, block_word, dec_last, fields_repr,
+                    reflect, tm_block)
 
 ALPHA_HORIZON = 4096  # digits of a non-periodic alpha that a comparison may read
 FIRST_WINDOW = 16  # alpha digits a comparison reads before a tie doubles the window
@@ -270,6 +271,8 @@ class UniquenessVerdict(Immutable):
             return NotImplemented
         return (self.unique == other.unique and self.failing_index == other.failing_index
                 and self.clause == other.clause)
+
+    __repr__ = fields_repr
 
     def to_json_dict(self) -> dict:
         d: dict = {"unique": self.unique}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from threading import Lock
 
 # expansions and matching are imported by the functions that use them, so the
 # finite and Komornik-Loreti regimes load neither. MAX_KL_TERMS stays
@@ -20,7 +21,7 @@ from fractions import Fraction
 from .bases import (DEFAULT_TOLERANCE, KL_TERMS, MAX_KL_TERMS, RegimeLabel, as_base_value,
                     check_kl_terms, classify, require_working_base)
 from .errors import CapabilityError, DomainError
-from .words import Immutable, Seq, Word, reflect, tm_block
+from .words import Immutable, Seq, Word, fields_repr, reflect, tm_block
 
 # The unique-expansion subshift as a successor table: letter -> letters that may follow.
 SFT_NEXT = {"a": ("b", "abar"), "b": ("abar",), "abar": ("a", "bbar"), "bbar": ("a",)}
@@ -45,6 +46,22 @@ def alternating_density(n: int) -> Fraction:
     if n < 0:
         raise DomainError("index must be nonnegative")
     return Fraction(2 ** n - (-1) ** n, 3 << n)
+
+
+_DENSITIES_LOCK = Lock()  # guards the swap of the density run
+_DENSITIES = [()]  # one slot: alternating_density(1), (2), ..., the longest run asked for
+
+
+def _densities(count: int) -> tuple:
+    """(alternating_density(1), ..., alternating_density(count)): the family
+    terms of spectrum_of, sliced from one cached run."""
+    run = _DENSITIES[0]
+    if len(run) < count:
+        run += tuple(alternating_density(k) for k in range(len(run) + 1, count + 1))
+        with _DENSITIES_LOCK:  # a racing shorter run must not replace a longer one
+            if len(_DENSITIES[0]) < count:
+                _DENSITIES[0] = run
+    return run[:count]
 
 
 def block_density_check(max_n: int) -> VerifierReport:
@@ -297,6 +314,8 @@ class IntervalPart(Immutable):
         object.__setattr__(self, "sft_n", sft_n)
         object.__setattr__(self, "containment_only", containment_only)
 
+    __repr__ = fields_repr
+
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 
@@ -337,17 +356,15 @@ def spectrum_of(q, tolerance: float = DEFAULT_TOLERANCE,
     and the family's first kl_terms terms (1..MAX_KL_TERMS). Above it: endpoints
     0 and the maximum plus an interval certified as contained in the spectrum.
     """
+    check_kl_terms(kl_terms)
     b = as_base_value(q)
     label = classify(b, tolerance)
     log_ratio = math.log(3) / math.log(b.value)
     isolated, family, interval = (0.0, log_ratio), None, None
     if label.kind == "finite":
-        terms = tuple(alternating_density(k) for k in range(1, label.m))
-        family = FamilyPart(terms, None, log_ratio) if terms else None
+        family = FamilyPart(_densities(label.m - 1), None, log_ratio) if label.m > 1 else None
     elif label.kind == "komornik_loreti":
-        check_kl_terms(kl_terms)
-        terms = tuple(alternating_density(k) for k in range(1, kl_terms + 1))
-        family = FamilyPart(terms, Fraction(1, 3), log_ratio)
+        family = FamilyPart(_densities(kl_terms), Fraction(1, 3), log_ratio)
         isolated += (log_ratio / 3,)
     else:
         spec = sft_spec(b, tolerance)

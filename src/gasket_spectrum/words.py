@@ -110,6 +110,13 @@ class Immutable:
             object.__setattr__(self, name, value)
 
 
+def fields_repr(self) -> str:
+    """Type(field=value, ...) over __slots__: the __repr__ of the small result
+    records. Not Immutable's, since a point cloud would print every point."""
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+    return f"{type(self).__name__}({fields})"
+
+
 class Seq(Immutable):
     """Eventually periodic sequence preperiod . period^inf over arbitrary digits.
 

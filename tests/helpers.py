@@ -6,7 +6,8 @@ the quasi-greedy digits of 1 and greedy digits by Fraction recursions,
 sequence values by direct partial summation, canonical sequences by one
 rotation per dropped digit, roots by plain float bisection
 on the literal polynomial or by a bisection that certifies every sign it
-takes, shifted pairings and bump witnesses by digit-by-digit scans, ladder
+takes, regimes of rational points by a linear scan over the roots, shifted
+pairings and bump witnesses by digit-by-digit scans, ladder
 words by their doubling rule and the bump blocks by four-block concatenation,
 mask folds chunk by chunk, and SVG/PPM files by formatting and painting
 point by point. The sequence value, the residual uniqueness oracle, the band
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from gasket_spectrum import bases, matching
-from gasket_spectrum.errors import DomainError, PrecisionError
+from gasket_spectrum.errors import AmbiguousClassificationError, DomainError, PrecisionError
 from gasket_spectrum.expansions import (
     ALPHA_HORIZON,
     UniquenessVerdict,
@@ -179,6 +180,30 @@ def ladder_value_exact(q: Fraction, n: int) -> Fraction:
     for d in reversed(bases.ladder_word(n).word):
         s = (s + d) / q
     return s
+
+
+def scan_classify(x: Fraction, tolerance) -> bases.RegimeLabel:
+    """Regime of a rational point by a linear scan over base_root in index
+    order: the reference that bases.classify's bisection must reproduce, in
+    its label or in its exception's type and message."""
+    bases.require_working_base(bases.as_base_value(x))
+    digits = bases._kl_digits(tolerance)
+    while bases._kl(digits).lo <= x <= bases._kl(digits).hi:
+        if digits == bases.LADDER_DIGITS_CAP:
+            raise PrecisionError(f"base lies inside the {digits}-digit Komornik-Loreti enclosure")
+        digits = min(2 * digits, bases.LADDER_DIGITS_CAP)
+    if x > bases._kl(digits).hi:
+        return bases.RegimeLabel("interval")
+    for n in range(2, bases.MAX_LADDER_INDEX + 1):
+        qn = bases.base_root(n, tolerance)
+        if qn.lo > x:
+            return bases.RegimeLabel("finite", n - 1)
+        if qn.hi >= x:
+            raise AmbiguousClassificationError(
+                f"base lies inside the enclosure of ladder point {n}")
+    raise PrecisionError(
+        f"no band found below the ladder cap {bases.MAX_LADDER_INDEX}; "
+        "the base is too close to the Komornik-Loreti constant")
 
 
 def certified_bisect(valfn, lo: Decimal, hi: Decimal, digits: int) -> tuple[Fraction, Fraction]:

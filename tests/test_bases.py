@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
+import random
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -28,7 +30,8 @@ from gasket_spectrum.errors import (
 )
 from gasket_spectrum.words import tm_block
 
-from helpers import certified_bisect, float_bisect, ladder_value_exact, ladder_word_doubling
+from helpers import (certified_bisect, float_bisect, ladder_value_exact, ladder_word_doubling,
+                     scan_classify)
 
 
 def test_ladder_words_small():
@@ -253,6 +256,9 @@ def test_kl_close_to_deep_roots():
     kl = kl_constant(1e-10)
     q14 = base_root(14)
     assert abs(kl.midpoint - q14.midpoint) < Fraction(1, 10 ** 50)
+    # root 12 reaches past the tightest KL enclosure's lower end, so a
+    # rational below KL never needs root 13 to be placed
+    assert base_root(12).hi > bases._kl(bases.LADDER_DIGITS_CAP).lo
 
 
 def test_kl_enclosure_certified_by_exact_arithmetic():
@@ -346,6 +352,8 @@ def test_classify_points():
     assert classify("2.9") == bases.RegimeLabel("interval")
     assert classify(2.3) == bases.RegimeLabel("finite", 1)
     assert classify("2.45") == bases.RegimeLabel("finite", 2)
+    assert repr(classify("2.45")) == "RegimeLabel(kind='finite', m=2)"
+    assert repr(classify("2.9")) == "RegimeLabel(kind='interval', m=None)"
 
 
 def test_classify_band_endpoints_right_closed():
@@ -412,5 +420,153 @@ def test_equal_enclosures_hash_equal():
     assert copy == r and hash(copy) == hash(r)
     assert as_base_value("49/20") == as_base_value("2.45")
     assert hash(as_base_value("49/20")) == hash(as_base_value("2.45"))
+    # hashed on first use, then kept; a point reads its value from lo
+    x = r.hi + (r.hi - r.lo) / 7
+    point = as_base_value(x)
+    assert point._hash is None
+    assert hash(point) == hash((x, x)) and point._hash == hash((x, x))
+    assert point.midpoint == x and point.value == float((x + x) / 2) == float(x)
+    assert r.midpoint == (r.lo + r.hi) / 2 and r.value == float((r.lo + r.hi) / 2)
     # the tag still takes part in equality
     assert BaseValue(r.lo, r.hi) != r
+
+
+def test_classify_checks_tolerance_in_every_regime():
+    # Tagged roots and KL were classified before the tolerance was read.
+    kl = kl_constant()
+    for tolerance in (-1.0, 0, float("nan"), float("inf")):
+        for q in (base_root(3), kl, "2.45", "2.9", BaseValue(Fraction("2.2"), Fraction("2.21"))):
+            with pytest.raises(DomainError, match="^tolerance must be positive and finite$"):
+                classify(q, tolerance)
+
+
+def _outcome(call, *args):
+    """A call's label, or its exception's type and message."""
+    try:
+        return call(*args)
+    except (AmbiguousClassificationError, DomainError, PrecisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _decimals_inside(lo: Fraction, hi: Fraction, rng) -> list[Fraction]:
+    """The shortest decimal strictly inside (lo, hi), and a random one with
+    two more digits."""
+    d = 1
+    while True:
+        scale = 10 ** d
+        x = Fraction(math.floor(lo * scale) + 1, scale)
+        if x < hi:
+            break
+        d += 1
+    scale *= 100
+    return [x, Fraction(rng.randint(math.floor(lo * scale) + 1, math.ceil(hi * scale) - 1), scale)]
+
+
+def _classify_grid(tolerance, rng) -> list[tuple[Fraction, int | None]]:
+    """(point, band or None): rationals in each band 1..11, each root
+    enclosure's ends and a point inside it, and points inside the KL
+    enclosure."""
+    def inside(lo, hi):
+        return lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)
+
+    grid = []
+    for m in range(1, 12):
+        lo, hi = base_root(m, tolerance).hi, base_root(m + 1, tolerance).lo
+        grid += [(x, m) for x in _decimals_inside(lo, hi, rng) + [inside(lo, hi), inside(lo, hi)]]
+    for n in range(2, 13):
+        r = base_root(n, tolerance)
+        grid += [(r.lo, None), (r.hi, None), (inside(r.lo, r.hi), None)]
+    kl = kl_constant(tolerance)
+    grid += [(inside(kl.lo, kl.hi), None) for _ in range(4)]
+    rng.shuffle(grid)
+    return grid
+
+
+def test_classify_agrees_with_a_linear_scan_over_the_roots(monkeypatch):
+    # Bisection over the root table against the scan in index order, queried
+    # in shuffled order from an empty table, so while it grows and after.
+    monkeypatch.setattr(bases, "_root_table", functools.cache(bases._root_table.__wrapped__))
+    rng = random.Random(29)
+    sign_checked = set()
+    for tolerance in (1e-6, 1e-12, 1e-40, 1e-100):
+        for x, band in _classify_grid(tolerance, rng):
+            got, want = _outcome(classify, x, tolerance), _outcome(scan_classify, x, tolerance)
+            assert got == want, (float(x), tolerance)
+            if band is not None:
+                assert got == bases.RegimeLabel("finite", band), (float(x), tolerance)
+            elif isinstance(got, bases.RegimeLabel) and got.kind == "finite":
+                band = got.m
+            # the exact sign oracle V_m(q) < 1 < V_{m+1}(q), once per point
+            if band is not None and band <= 8 and x not in sign_checked:
+                sign_checked.add(x)
+                assert ladder_value_exact(x, band) < 1 < ladder_value_exact(x, band + 1), float(x)
+    assert len(sign_checked) > 100
+
+
+def _band_points(seed: int) -> list[tuple[Fraction, int]]:
+    rng = random.Random(seed)
+    return [(base_root(m).hi + (base_root(m + 1).lo - base_root(m).hi)
+             * Fraction(rng.randint(1, 999), 1000), m) for m in range(1, 12)]
+
+
+def _fresh_roots(monkeypatch) -> list[int]:
+    """Empty root and root-table caches; the indices later certified are
+    appended to the returned list."""
+    certified = []
+    root = bases._root.__wrapped__
+    monkeypatch.setattr(bases, "_root", functools.cache(
+        lambda n, digits: certified.append(n) or root(n, digits)))
+    monkeypatch.setattr(bases, "_root_table", functools.cache(bases._root_table.__wrapped__))
+    return certified
+
+
+def test_placement_certifies_only_the_roots_a_scan_reaches(monkeypatch):
+    points = _band_points(3)
+    top_5 = base_root(5).hi
+    for x, m in points:
+        certified = _fresh_roots(monkeypatch)
+        assert classify(x) == bases.RegimeLabel("finite", m)
+        assert certified == list(range(2, m + 2)), m
+        for y, lower in points[:m]:  # lower bands, and the band itself again
+            assert classify(y) == bases.RegimeLabel("finite", lower)
+        assert certified == list(range(2, m + 2)), m
+    certified = _fresh_roots(monkeypatch)
+    with pytest.raises(AmbiguousClassificationError, match="ladder point 5$"):
+        classify(top_5)  # equal to the table's top: no further root
+    assert certified == [2, 3, 4, 5]
+
+
+def test_concurrent_placement_matches_serial(monkeypatch):
+    # Threads racing to grow an empty root table get the serial labels, and
+    # the table they leave holds each root once, in index order.
+    import sys
+    import threading
+
+    points = [x for x, _ in _band_points(5)] * 2
+    random.Random(5).shuffle(points)
+    serial = [classify(x) for x in points]
+    _fresh_roots(monkeypatch)
+    results = [None] * 8
+
+    def worker(i):
+        order = list(range(len(points)))
+        random.Random(i).shuffle(order)
+        results[i] = {k: classify(points[k]) for k in order}
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for labels in results:
+        assert [labels[k] for k in range(len(points))] == serial
+    his, roots = bases._root_table(bases._table_digits(DEFAULT_TOLERANCE))[0]
+    assert [r.ladder_index for r in roots] == list(range(2, 13))
+    assert all(a.hi < b.lo for a, b in zip(roots, roots[1:]))
+    assert his == tuple(r.hi for r in roots)

@@ -357,6 +357,7 @@ def test_uniqueness_verdict_reports_clause():
     assert v.clause == "reflected_tail"
     ok = uniqueness_verdict(Seq((), (0,)), Fraction(49, 20))
     assert ok.unique and ok.failing_index is None
+    assert repr(v) == "UniquenessVerdict(unique=False, failing_index=2, clause='reflected_tail')"
 
 
 def _verdict_or_error(verdict_fn, seq, q):

@@ -150,18 +150,26 @@ def test_spectrum_at_kl():
 
 def test_spectrum_at_kl_takes_kl_terms():
     kl = bases.kl_constant()
-    assert len(spectrum_of(kl, kl_terms=5).family.terms) == 5
-    # the messages the CLI prints for --kl-terms out of range
-    with pytest.raises(DomainError, match="^kl_terms must be a positive integer$"):
-        spectrum_of(kl, kl_terms=0)
-    with pytest.raises(DomainError, match=f"^kl_terms {MAX_KL_TERMS + 1} exceeds cap {MAX_KL_TERMS}$"):
-        spectrum_of(kl, kl_terms=MAX_KL_TERMS + 1)
+    # the terms are sliced from one cached run, whichever length came first
+    for n in (5, 40, 5, MAX_KL_TERMS, 1):
+        terms = spectrum_of(kl, kl_terms=n).family.terms
+        assert terms == tuple(alternating_density(k) for k in range(1, n + 1)), n
+    # the messages the CLI prints for --kl-terms out of range, in every regime
+    for q in (kl, "2.45", "2.9", bases.base_root(3)):
+        with pytest.raises(DomainError, match="^kl_terms must be a positive integer$"):
+            spectrum_of(q, kl_terms=0)
+        with pytest.raises(DomainError,
+                           match=f"^kl_terms {MAX_KL_TERMS + 1} exceeds cap {MAX_KL_TERMS}$"):
+            spectrum_of(q, kl_terms=MAX_KL_TERMS + 1)
 
 
 def test_spectrum_interval_regime():
     s = spectrum_of("2.9")
     assert s.regime.kind == "interval"
     assert s.interval is not None
+    assert repr(s.interval) == (
+        f"IntervalPart(lo={s.interval.lo!r}, hi={s.interval.hi!r}, lo_density=Fraction(1, 4), "
+        "hi_density=Fraction(1, 2), sft_n=1, containment_only=True)")
     assert s.interval.containment_only
     assert 0 < s.interval.lo < s.interval.hi < s.log_ratio
     assert sorted(s.isolated) == sorted([0.0, s.log_ratio])
