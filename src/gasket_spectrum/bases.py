@@ -43,11 +43,11 @@ from bisect import bisect_left
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cache
-from threading import Lock
+from operator import attrgetter
 
 from .errors import AmbiguousClassificationError, DomainError, PrecisionError
 from .report import float_str
-from .words import Immutable, Word, fields_repr, tm_block
+from .words import Immutable, Word, fields_repr, keep_longer, tm_block
 
 DEFAULT_TOLERANCE = 1e-12  # enclosure width asked of roots and of the limit base
 MAX_LADDER_INDEX = 24  # ladder word 24 has 2^23 digits
@@ -354,14 +354,11 @@ def _root(n: int, digits: int) -> BaseValue:
     return BaseValue(lo, hi, ladder_index=n)
 
 
-_ROOT_TABLE_LOCK = Lock()  # guards the swap of a root table
-
-
 @cache
 def _root_table(digits: int) -> list:
-    """A one-slot list holding (his, roots) at table precision digits: the
-    roots 2, 3, ... certified so far, in index order, and their hi ends."""
-    return [((), ())]
+    """A one-slot list holding the roots 2, 3, ... certified so far at table
+    precision digits, in index order; grown by keep_longer."""
+    return [()]
 
 
 def base_root(n: int, tolerance: float = DEFAULT_TOLERANCE) -> BaseValue:
@@ -461,24 +458,19 @@ def _place(x: Fraction, tolerance) -> RegimeLabel:
     """Band of a rational x below KL, decided by the first root n with
     hi_n >= x: finite n - 1 when lo_n > x, else x lies in root n's enclosure.
     bisect_left finds n among the certified roots, whose enclosures are
-    disjoint through n = 12, and root 12's reaches into the KL enclosure, so
-    no x below KL needs root 13. Root n + 1 is certified only when x lies
-    above every hi, as a scan in index order would."""
+    disjoint through n = 12. Root n + 1 is certified only when x lies above
+    every hi, as a scan in index order would.
+
+    No x needs root 13: x < kl.lo for a KL enclosure of at most
+    LADDER_DIGITS_CAP digits, root 12 is always certified to that cap
+    (_width_digits(12, tolerance) == LADDER_DIGITS_CAP), and its hi lies above
+    the cap's KL enclosure, so x < kl.lo < KL <= _kl(cap).hi < hi_12. A
+    snapshot of the table plus the next root is a correct prefix, whoever races."""
     slot = _root_table(_table_digits(tolerance))
-    his, roots = slot[0]  # one slot, swapped whole, so racing readers see a pair
-    while not his or his[-1] < x:
-        n = len(roots) + 2
-        if n > MAX_LADDER_INDEX:
-            raise PrecisionError(
-                f"no band found below the ladder cap {MAX_LADDER_INDEX}; "
-                "the base is too close to the Komornik-Loreti constant")
-        root = base_root(n, tolerance)
-        with _ROOT_TABLE_LOCK:  # a racing thread may have added root n already
-            his, roots = slot[0]
-            if len(roots) == n - 2:
-                his, roots = his + (root.hi,), roots + (root,)
-                slot[0] = (his, roots)
-    i = bisect_left(his, x)
+    roots = slot[0]
+    while not roots or roots[-1].hi < x:
+        roots = keep_longer(slot, roots + (base_root(len(roots) + 2, tolerance),))
+    i = bisect_left(roots, x, key=attrgetter("hi"))
     if roots[i].lo > x:
         return RegimeLabel("finite", i + 1)
     raise AmbiguousClassificationError(f"base lies inside the enclosure of ladder point {i + 2}")

@@ -41,18 +41,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import lcm
-from threading import Lock
 
 from .bases import BaseValue, as_base_value, ladder_word, require_working_base
 from .errors import DomainError, PrecisionError, ResourceLimitError
 from .report import float_str
 from .words import (MAX_WORD_LENGTH, Immutable, Seq, Word, block_word, dec_last, fields_repr,
-                    reflect, tm_block)
+                    keep_longer, reflect, tm_block)
 
 ALPHA_HORIZON = 4096  # digits of a non-periodic alpha that a comparison may read
 FIRST_WINDOW = 16  # alpha digits a comparison reads before a tie doubles the window
 MAX_EXPAND_DEPTH = 4096  # digits greedy_expand produces; each costs more than the last
-_ALPHA_LOCK = Lock()  # guards the swap of a base's longest alpha prefix
 _REFLECT = bytes.maketrans(b"\x00\x01\x02", b"\x02\x01\x00")  # d -> 2 - d
 
 
@@ -196,7 +194,7 @@ def alpha_prefix(q, n: int) -> bytes:
     A tagged ladder root repeats alpha_period. Any other base keeps the
     longest run of _alpha_run read so far and serves a shorter read by
     slicing it, with n clamped to the horizon at a rational point, so a read
-    past it reuses the run too.
+    past it reuses the run too (an enclosure whose ends part sooner rereads theirs).
     """
     b = as_base_value(q)
     period = alpha_period(b)
@@ -205,21 +203,18 @@ def alpha_prefix(q, n: int) -> bytes:
     if b.is_point:
         n = min(n, ALPHA_HORIZON)
     longest = _longest_alpha(b)
-    read, digits = longest[0]  # one slot, swapped whole, so racing readers see a pair
-    if read < n:
-        digits = _alpha_run(b, n)
-        with _ALPHA_LOCK:  # a racing shorter read must not replace a longer one
-            if longest[0][0] < n:
-                longest[0] = (n, digits)
+    digits = longest[0]
+    if len(digits) < n:
+        digits = keep_longer(longest, _alpha_run(b, n))
     return digits[:n]
 
 
 @lru_cache(maxsize=1024)  # bounded: every rational base would otherwise stay for good
 def _longest_alpha(b: BaseValue) -> list:
-    """A one-slot list holding (n, _alpha_run(b, n)) for the longest n read at
-    the working base b."""
+    """A one-slot list holding the longest _alpha_run read at the working
+    base b; grown by keep_longer."""
     require_working_base(b)
-    return [(0, b"")]
+    return [b""]
 
 
 def _alpha_run(b: BaseValue, n: int) -> bytes:

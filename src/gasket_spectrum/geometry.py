@@ -144,7 +144,7 @@ def build_intersection(q, t_seq: Seq, depth: int) -> PointCloud:
         raise DomainError(
             "translation expansion is not matched; the intersection is empty "
             f"(violation at position {report.first_violation_index})")
-    levels = tuple(BRANCH_TABLE[t_seq.digit(i)] for i in range(1, depth + 1))
+    levels = tuple(BRANCH_TABLE[d] for d in t_seq.prefix(depth))
     xs, ys = _digit_points(b.value, levels)
     return PointCloud(kind="intersection", q=b.value, depth=depth, xs=xs, ys=ys,
                       levels=levels)

@@ -65,7 +65,7 @@ def zip_seqs(a: Seq, b: Seq) -> Seq:
         raise ResourceLimitError(
             f"pairing periods of {len(a.period)} and {len(b.period)} digits needs "
             f"{pre_len + per_len} digits, beyond the cap {MAX_PAIR_LENGTH}")
-    pairs = tuple((a.digit(i), b.digit(i)) for i in range(1, pre_len + per_len + 1))
+    pairs = tuple(zip(a.prefix(pre_len + per_len), b.prefix(pre_len + per_len)))
     return Seq(pairs[:pre_len], pairs[pre_len:])
 
 

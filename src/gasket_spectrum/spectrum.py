@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from threading import Lock
+from functools import lru_cache
 
 # expansions and matching are imported by the functions that use them, so the
 # finite and Komornik-Loreti regimes load neither. MAX_KL_TERMS stays
 # importable from here, where spectrum_of applies it.
 from .bases import (DEFAULT_TOLERANCE, KL_TERMS, MAX_KL_TERMS, RegimeLabel, as_base_value,
                     check_kl_terms, classify, require_working_base)
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, ResourceLimitError
 from .words import Immutable, Seq, Word, fields_repr, reflect, tm_block
 
 # The unique-expansion subshift as a successor table: letter -> letters that may follow.
@@ -48,20 +48,11 @@ def alternating_density(n: int) -> Fraction:
     return Fraction(2 ** n - (-1) ** n, 3 << n)
 
 
-_DENSITIES_LOCK = Lock()  # guards the swap of the density run
-_DENSITIES = [()]  # one slot: alternating_density(1), (2), ..., the longest run asked for
-
-
+@lru_cache(maxsize=64)  # bounded: kl_terms may be any count up to MAX_KL_TERMS
 def _densities(count: int) -> tuple:
     """(alternating_density(1), ..., alternating_density(count)): the family
-    terms of spectrum_of, sliced from one cached run."""
-    run = _DENSITIES[0]
-    if len(run) < count:
-        run += tuple(alternating_density(k) for k in range(len(run) + 1, count + 1))
-        with _DENSITIES_LOCK:  # a racing shorter run must not replace a longer one
-            if len(_DENSITIES[0]) < count:
-                _DENSITIES[0] = run
-    return run[:count]
+    terms of spectrum_of."""
+    return tuple(alternating_density(k) for k in range(1, count + 1))
 
 
 def block_density_check(max_n: int) -> VerifierReport:
@@ -196,10 +187,12 @@ def interval_witness(spec: SFTSpec, target, length: int) -> WitnessPrefix:
 
     Appends whichever extremal block moves the running frequency toward the
     target; the deviation at the end is at most one block's worth of digits
-    over the total length.
+    over the total length. A length past MAX_PAIR_LENGTH is refused first.
     """
-    from .matching import analyze
+    from .matching import MAX_PAIR_LENGTH, analyze
 
+    if length > MAX_PAIR_LENGTH:
+        raise ResourceLimitError(f"witness length {length} exceeds cap {MAX_PAIR_LENGTH}")
     pair_words = sft_pair_words(spec)
     d1, d2 = (analyze(u).zero_pair_density for u in pair_words)
     t = Fraction(target)

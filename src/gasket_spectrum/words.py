@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from functools import cache
+from threading import Lock
 
 from .errors import DomainError, ResourceLimitError
 
@@ -164,11 +165,12 @@ class Seq(Immutable):
         return self.period[(i - 1 - len(self.preperiod)) % len(self.period)]
 
     def prefix(self, n: int) -> Word:
-        out = list(self.preperiod[:n])
-        while len(out) < n:
-            take = min(n - len(out), len(self.period))
-            out.extend(self.period[:take])
-        return tuple(out)
+        """The first n digits."""
+        if n < 0:
+            raise DomainError("prefix length must be nonnegative")
+        pre, per = self.preperiod, self.period
+        k, r = divmod(max(n - len(pre), 0), len(per))
+        return pre[:n] + per * k + per[:r]
 
     def shift(self, i: int) -> "Seq":
         """Drop the first i digits and recanonicalize."""
@@ -184,6 +186,19 @@ class Seq(Immutable):
 
     def reflect(self) -> "Seq":
         return self.map(lambda d: -d)
+
+
+_SWAP_LOCK = Lock()
+
+
+def keep_longer(slot: list, run):
+    """Store run in the one-slot list slot unless the slot already holds a run
+    at least as long, and return what the slot holds: the swap rule of the
+    grow-only caches, whose every run is a prefix of any longer one."""
+    with _SWAP_LOCK:
+        if len(slot[0]) < len(run):
+            slot[0] = run
+        return slot[0]
 
 
 def ternary_seq(preperiod: Iterable[int], period: Iterable[int]) -> Seq:

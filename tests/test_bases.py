@@ -536,6 +536,23 @@ def test_placement_certifies_only_the_roots_a_scan_reaches(monkeypatch):
     assert certified == [2, 3, 4, 5]
 
 
+def test_placement_never_needs_a_root_past_12(monkeypatch):
+    # Root 12 is certified to the digit cap at every tolerance, and its hi
+    # lies above the cap's KL enclosure, so a point below KL is placed by
+    # root 12 at the latest.
+    cap = bases.LADDER_DIGITS_CAP
+    assert all(bases._width_digits(12, 10.0 ** -e) == cap for e in range(1, 309))
+    assert base_root(12).hi > bases._kl(cap).hi
+    points = [(lo - Fraction(1, 10 ** k), tolerance)
+              for tolerance in (1e-6, 1e-12, 1e-40, 1e-100, 1e-300)
+              for lo in (kl_constant(tolerance).lo, bases._kl(cap).lo)
+              for k in (cap - 20, cap + 20)]
+    certified = _fresh_roots(monkeypatch)
+    got = [_outcome(classify, x, tolerance) for x, tolerance in points]
+    assert max(certified) == 12
+    assert got == [_outcome(scan_classify, x, tolerance) for x, tolerance in points]
+
+
 def test_concurrent_placement_matches_serial(monkeypatch):
     # Threads racing to grow an empty root table get the serial labels, and
     # the table they leave holds each root once, in index order.
@@ -566,7 +583,6 @@ def test_concurrent_placement_matches_serial(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for labels in results:
         assert [labels[k] for k in range(len(points))] == serial
-    his, roots = bases._root_table(bases._table_digits(DEFAULT_TOLERANCE))[0]
+    roots = bases._root_table(bases._table_digits(DEFAULT_TOLERANCE))[0]
     assert [r.ladder_index for r in roots] == list(range(2, 13))
     assert all(a.hi < b.lo for a, b in zip(roots, roots[1:]))
-    assert his == tuple(r.hi for r in roots)

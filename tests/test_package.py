@@ -57,6 +57,18 @@ def test_bare_import_loads_nothing_until_used():
     assert proc.stdout.split("\n")[:3] == ["[]", "True", "[]"]
 
 
+def test_the_package_creates_one_lock():
+    # The grow-only caches share words.keep_longer; every other cache is a
+    # functools cache, so no module needs a lock of its own.
+    src = os.path.join(ROOT, "src", "gasket_spectrum")
+    counts = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                counts[name] = fh.read().count("Lock()")
+    assert {k: v for k, v in counts.items() if v} == {"words.py": 1}
+
+
 def test_readme_quick_tour_runs():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()

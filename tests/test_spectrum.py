@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from gasket_spectrum import bases
-from gasket_spectrum.errors import DomainError
+from gasket_spectrum.errors import DomainError, ResourceLimitError
 from gasket_spectrum.matching import analyze
 from gasket_spectrum.spectrum import (
     MAX_KL_TERMS,
@@ -57,6 +57,16 @@ def test_alternating_density_closed_form():
         assert abs(d - Fraction(1, 3)) == Fraction(1, 3 * 2 ** n)
     for n in range(0, 300):  # the power form is the reference
         assert alternating_density(n) == (1 - Fraction(-1, 2) ** n) / 3, n
+
+
+def test_family_densities_are_exact_and_bounded():
+    from gasket_spectrum import spectrum
+
+    for count in range(1, 201):
+        assert spectrum._densities(count) == tuple(
+            (1 - Fraction(-1, 2) ** k) / 3 for k in range(1, count + 1)), count
+    info = spectrum._densities.cache_info()  # 200 counts asked: the bound holds
+    assert info.maxsize is not None and info.currsize == info.maxsize
 
 
 def test_block_density_check_exact():
@@ -275,6 +285,18 @@ def test_interval_witness_rejects_outside_target():
     d1, d2 = sft_densities(spec)
     with pytest.raises(DomainError):
         interval_witness(spec, d2 + Fraction(1, 100), 100)
+
+
+def test_interval_witness_refuses_a_length_past_the_pair_cap(monkeypatch):
+    from gasket_spectrum import matching, spectrum
+
+    spec = sft_spec("2.6")
+    d1, _ = sft_densities(spec)
+    monkeypatch.setattr(spectrum, "sft_pair_words", lambda spec: pytest.fail("built"))
+    with pytest.raises(ResourceLimitError, match=f"exceeds cap {matching.MAX_PAIR_LENGTH}$"):
+        interval_witness(spec, d1, matching.MAX_PAIR_LENGTH + 1)
+    with pytest.raises(ResourceLimitError):
+        interval_witness(spec, d1, 10 ** 9)
 
 
 def test_kl_density_check_bounds():

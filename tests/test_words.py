@@ -188,6 +188,17 @@ def test_seq_digit_and_prefix():
     assert s.prefix(5) == (1, 1, 0, -1, 0)
 
 
+def test_prefix_agrees_with_digit():
+    rng = random.Random(30)
+    for _ in range(200):
+        s = Seq([rng.randint(-1, 1) for _ in range(rng.randint(0, 6))],
+                [rng.randint(-1, 1) for _ in range(rng.randint(1, 5))])
+        for n in range(0, 25):
+            assert s.prefix(n) == tuple(s.digit(i) for i in range(1, n + 1)), (s, n)
+    with pytest.raises(DomainError):
+        Seq((1, 2, 3), (0,)).prefix(-1)
+
+
 def test_shift_examples():
     assert Seq((), (1, 0)).shift(1) == Seq((), (0, 1))
     s = Seq((1, -1), (0, 1, 1))
@@ -313,3 +324,53 @@ def test_block_cache_concurrent_builds():
         t.join()
     for k, block in results:
         assert block == tuple(tm_diff(i) for i in range(1, 2 ** (10 + (k % 3)) + 1))
+
+
+def test_keep_longer_keeps_the_longest_run():
+    held = tuple(range(3))
+    slot = [held]
+    assert words.keep_longer(slot, (0, 1)) is held is slot[0]  # shorter: kept out
+    assert words.keep_longer(slot, tuple(range(3))) is held is slot[0]  # equal: kept out
+    longer = tuple(range(4))
+    assert words.keep_longer(slot, longer) is longer is slot[0]
+
+
+def test_keep_longer_under_racing_threads():
+    import sys
+    import threading
+
+    # The slot yields the interpreter before each store, so another thread
+    # runs between a swap's length check and its store: a store that does not
+    # lengthen the held run is a lost update.
+    shrinking_stores = []
+
+    class Slot(list):
+        def __setitem__(self, i, run):
+            time.sleep(0)
+            if len(run) <= len(self[i]):
+                shrinking_stores.append(len(run))
+            list.__setitem__(self, i, run)
+
+    slot = Slot([b""])
+    short_returns = []
+    start = threading.Barrier(8, timeout=30)
+
+    def worker(i):
+        start.wait()
+        for n in range(i, 800, 8):
+            if len(words.keep_longer(slot, bytes(n))) < n:
+                short_returns.append(n)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(slot[0]) == 799
+    assert not shrinking_stores and not short_returns
