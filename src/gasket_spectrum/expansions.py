@@ -52,6 +52,7 @@ ALPHA_HORIZON = 4096  # digits of a non-periodic alpha that a comparison may rea
 FIRST_WINDOW = 16  # alpha digits a comparison reads before a tie doubles the window
 MAX_EXPAND_DEPTH = 4096  # digits greedy_expand produces; each costs more than the last
 _REFLECT = bytes.maketrans(b"\x00\x01\x02", b"\x02\x01\x00")  # d -> 2 - d
+_PARTED = b"\x03"  # ends an alpha run that no longer read extends; not a digit
 
 
 def evaluate_exact(seq: Seq, q) -> Fraction:
@@ -194,7 +195,8 @@ def alpha_prefix(q, n: int) -> bytes:
     A tagged ladder root repeats alpha_period. Any other base keeps the
     longest run of _alpha_run read so far and serves a shorter read by
     slicing it, with n clamped to the horizon at a rational point, so a read
-    past it reuses the run too (an enclosure whose ends part sooner rereads theirs).
+    past it reuses the run too. A run that an enclosure's ends cut short
+    carries the _PARTED mark, so a read past it is served from it as well.
     """
     b = as_base_value(q)
     period = alpha_period(b)
@@ -203,16 +205,17 @@ def alpha_prefix(q, n: int) -> bytes:
     if b.is_point:
         n = min(n, ALPHA_HORIZON)
     longest = _longest_alpha(b)
-    digits = longest[0]
-    if len(digits) < n:
-        digits = keep_longer(longest, _alpha_run(b, n))
-    return digits[:n]
+    run = longest[0]
+    if len(run) < n and not run.endswith(_PARTED):
+        run = keep_longer(longest, _alpha_run(b, n))
+    return run[:n].rstrip(_PARTED)
 
 
 @lru_cache(maxsize=1024)  # bounded: every rational base would otherwise stay for good
 def _longest_alpha(b: BaseValue) -> list:
     """A one-slot list holding the longest _alpha_run read at the working
-    base b; grown by keep_longer."""
+    base b; grown by keep_longer, which keeps a _PARTED run for good, as it
+    is longer than any run of its digits alone."""
     require_working_base(b)
     return [b""]
 
@@ -223,14 +226,16 @@ def _alpha_run(b: BaseValue, n: int) -> bytes:
     point, the recursion on a certified fixed-point residual (see _digit_run:
     a digit is taken only when both ends of the residual's error interval
     give it, and one that straddles restarts the run with twice the bits);
-    for an enclosure, the common prefix of its ends. Each is the prefix of
+    for an enclosure, the common prefix of its ends, marked _PARTED once it
+    is shorter than n, as no longer read extends it. Each is the prefix of
     any longer run at the same base."""
     if b.is_kl:
         return bytes(d + 1 for d in tm_block((n - 1).bit_length())[:n])
     if b.is_point:
         return _digit_run(b.lo, 1, n)
     lo, hi = (alpha_prefix(x, n) for x in (b.lo, b.hi))
-    return lo[:next((i for i, (x, y) in enumerate(zip(lo, hi)) if x != y), len(lo))]
+    run = lo[:next((i for i, (x, y) in enumerate(zip(lo, hi)) if x != y), len(lo))]
+    return run if len(run) == n else run + _PARTED
 
 
 def _uncertified(i: int) -> PrecisionError:

@@ -5,8 +5,8 @@ final multiplication by log 3 / log q. The spectrum has three shapes keyed by
 the regime of q: a finite set in a ladder band, a countable set with one
 accumulation point at the Komornik-Loreti base, and (above it) an interval
 whose endpoints come from a small subshift of finite type inside the unique
-expansion set. The interval is reported as contained in the spectrum, never
-as all of it.
+expansion set, certified whole by the uniqueness of its largest cycle. The
+interval is reported as contained in the spectrum, never as all of it.
 """
 
 from __future__ import annotations
@@ -105,16 +105,14 @@ def sft_letters(n: int) -> dict:
     return {"a": a, "b": b, "abar": reflect(a), "bbar": reflect(b)}
 
 
-def sft_letter_path_allowed(path: tuple[str, ...], cyclic: bool = True) -> bool:
-    nxt = path[1:] + path[:1] if cyclic else path[1:]
-    return all(v in SFT_NEXT[u] for u, v in zip(path, nxt))
+def sft_letter_path_allowed(path: tuple[str, ...]) -> bool:
+    """Whether the letter path, read as a cycle, follows SFT_NEXT."""
+    return all(v in SFT_NEXT[u] for u, v in zip(path, path[1:] + path[:1]))
 
 
 U1_PATHS = (("b", "abar", "bbar", "a"), ("bbar", "a", "b", "abar"))
 U2_PATHS = (("abar", "a"), ("a", "abar"))
-# The cycles sft_spec certifies: both coordinates of the two extremal cycles, plus
-# the two interleaved cycles that witness the cross junctions of interval_witness.
-SFT_CERTIFIED_CYCLES = U1_PATHS + U2_PATHS + tuple(u1 + u2 for u1, u2 in zip(U1_PATHS, U2_PATHS))
+SFT_MAX_CYCLE = ("a", "abar", "bbar")  # the greedy cycle; sft_spec certifies it alone
 
 
 def _path_word(letters: dict, path: tuple[str, ...]) -> Word:
@@ -131,27 +129,51 @@ def sft_pair_words(spec: SFTSpec) -> tuple[Seq, Seq]:
 
 
 def sft_spec(q, tolerance: float = DEFAULT_TOLERANCE) -> SFTSpec:
-    """Smallest letter scale whose SFT_CERTIFIED_CYCLES are unique expansions at q.
+    """Smallest letter scale whose whole subshift lies in the unique-expansion
+    set at q, certified by one uniqueness test per scale: of C = SFT_MAX_CYCLE
+    repeated.
 
-    The admissibility oracle is the uniqueness check itself; scales are not
-    monotone (a scale can fail while a smaller and a larger one pass), so the
-    search walks n = 1, 2, ... up to the cap.
+    That one test is exact (the lexicographic criterion of the expansions
+    module; Parry 1960, de Vries and Komornik 2009). With digits over
+    {-1, 0, 1}, a path is unique exactly when each tail preceded by a digit
+    <= 0 is below alpha (the tail clause) and so is each reflected tail
+    preceded by a digit >= 0. For n >= 1:
+    - The letters have length 2^n and start bbar = (1, -1, ...),
+      a = (0, 1, ...), abar = (0, -1, ...), b = (-1, 1, ...), so
+      bbar > a > abar > b, and of two paths the one with the larger letter
+      where they first differ is the larger.
+    - The largest path from each letter is therefore greedy: a -> abar,
+      abar -> bbar, bbar -> a, b -> abar. From a, abar and bbar it is a
+      rotation of C = (a abar bbar)^inf.
+    - Every tail of every path is at most a tail of C whose preceding digit
+      is the same, or 0 where it is -1:
+      - a tail inside a letter is a suffix of it followed by a path no
+        larger than C's from there, and a and b agree after their first
+        digit (whose -1 in b and 0 in a are both <= 0);
+      - at a letter boundary, the letters that may precede one end as its
+        predecessor in C does: a and b end alike, and so do abar and bbar;
+      - a tail starting at b is below C's from abar, which a precedes too.
+      So the tail clause for C gives it for every path.
+    - The subshift is closed under a <-> abar, b <-> bbar, and the reflected
+      clause of a path is the tail clause of its reflection, so it needs no
+      separate check.
+    - C is itself a path of the subshift, so C failing is a genuine
+      counterexample, and the test is exact.
+
+    Scales are not monotone (a scale can fail while a smaller and a larger
+    one pass), so the search walks n = 1, 2, ... up to the cap.
     """
     from .expansions import is_unique_expansion
 
     b = as_base_value(q)
     if classify(b, tolerance).kind != "interval":
         raise DomainError("the subshift construction applies above the Komornik-Loreti base")
-    failures = []
     for n in range(1, SFT_MAX_N + 1):
         letters = sft_letters(n)
-        if all(is_unique_expansion(Seq((), _path_word(letters, p)), b)
-               for p in SFT_CERTIFIED_CYCLES):
+        if is_unique_expansion(Seq((), _path_word(letters, SFT_MAX_CYCLE)), b):
             return SFTSpec(n=n, letters=letters)
-        failures.append(n)
-    raise CapabilityError(
-        f"no letter scale up to {SFT_MAX_N} embeds in the unique-expansion "
-        f"set at q ~ {b.value}; failed scales: {failures}")
+    raise CapabilityError(f"no letter scale 1..{SFT_MAX_N} embeds the subshift in the "
+                          f"unique-expansion set at q ~ {b.value}")
 
 
 def sft_densities(spec: SFTSpec) -> tuple[Fraction, Fraction]:

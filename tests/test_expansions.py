@@ -220,6 +220,24 @@ def test_alpha_past_the_horizon_is_not_recomputed(monkeypatch):
     assert len(expansions.alpha_prefix(b, expansions.ALPHA_HORIZON + 2)) == expansions.ALPHA_HORIZON
 
 
+def test_alpha_run_cut_short_by_an_enclosure_is_not_recomputed(monkeypatch):
+    # The ends of this enclosure part at digit 75: a longer read gives no more.
+    b = bases.BaseValue(Fraction(5, 2), Fraction(5, 2) + Fraction(1, 10 ** 30))
+    expansions._longest_alpha.cache_clear()
+    digits = expansions.alpha_prefix(b, 4096)
+    lo, hi = (expansions.alpha_prefix(x, 76) for x in (b.lo, b.hi))
+    assert len(digits) == 75 and lo[:75] == hi[:75] == digits and lo[75] != hi[75]
+    runs = []
+    alpha_run = expansions._alpha_run
+    monkeypatch.setattr(expansions, "_alpha_run", lambda *args: runs.append(args) or alpha_run(*args))
+    for n in (4096, 100, 76, 75, 30, 8192):
+        assert expansions.alpha_prefix(b, n) == digits[:n]
+    assert quasi_greedy_alpha(b, 75) == tuple(digits)
+    with pytest.raises(PrecisionError, match="alpha digit 76 is not determined"):
+        quasi_greedy_alpha(b, 76)
+    assert runs == []
+
+
 def test_shorter_alpha_read_slices_the_longest_prefix(monkeypatch):
     # The longest prefix read at a base serves every shorter read.
     q = Fraction("2.4321")

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from gasket_spectrum import bases
-from gasket_spectrum.errors import DomainError, ResourceLimitError
+from gasket_spectrum.errors import CapabilityError, DomainError, ResourceLimitError
 from gasket_spectrum.matching import analyze
 from gasket_spectrum.spectrum import (
     MAX_KL_TERMS,
-    SFT_CERTIFIED_CYCLES,
+    SFT_MAX_CYCLE,
+    SFT_MAX_N,
     SFT_NEXT,
     U1_PATHS,
     U2_PATHS,
@@ -202,13 +205,12 @@ def test_sft_paths_admissible():
     for path in U1_PATHS + U2_PATHS:
         assert sft_letter_path_allowed(path)
     assert not sft_letter_path_allowed(("a", "a"))
-    assert not sft_letter_path_allowed(("b", "a"), cyclic=False)
+    assert "a" not in SFT_NEXT["b"]
 
 
 def test_certified_cycles_and_witness_junctions_are_sft_edges():
-    for path in SFT_CERTIFIED_CYCLES:
-        for u, v in zip(path, path[1:] + path[:1]):
-            assert v in SFT_NEXT[u], (path, u, v)
+    for u, v in zip(SFT_MAX_CYCLE, SFT_MAX_CYCLE[1:] + SFT_MAX_CYCLE[:1]):
+        assert v in SFT_NEXT[u], (u, v)
     for q in ("2.6", "2.9"):
         spec = sft_spec(q)
         d1, d2 = sft_densities(spec)
@@ -234,12 +236,135 @@ def test_sft_spec_requires_interval_regime():
         sft_spec("2.3")
 
 
+def _primitive_cycles(max_letters: int) -> list:
+    """Every primitive letter cycle of SFT_NEXT with at most max_letters
+    letters, once each: in its least rotation."""
+    found = []
+
+    def grow(path):
+        rotations = [path[i:] + path[:i] for i in range(1, len(path))]
+        if path[0] in SFT_NEXT[path[-1]] and all(path < r for r in rotations):
+            found.append(path)
+        if len(path) < max_letters:
+            for v in SFT_NEXT[path[-1]]:
+                grow(path + (v,))
+
+    for letter in SFT_NEXT:
+        grow((letter,))
+    return found
+
+
+def _cycle_seq(letters: dict, path) -> Seq:
+    return Seq((), tuple(d for name in path for d in letters[name]))
+
+
+CYCLES_UP_TO_10 = _primitive_cycles(10)
+CAPPED_KL = bases._kl(bases.LADDER_DIGITS_CAP)
+
+
+def test_primitive_cycles_up_to_ten_letters():
+    assert len(CYCLES_UP_TO_10) == 36
+    assert SFT_MAX_CYCLE in CYCLES_UP_TO_10
+    assert all(sft_letter_path_allowed(c) for c in CYCLES_UP_TO_10)
+
+
+@pytest.mark.parametrize("offset", [Fraction(1, 10 ** 6), Fraction(6, 10 ** 5)])
+def test_sft_spec_scale_carries_every_short_cycle_just_above_kl(offset):
+    # The certificate covers the whole subshift: at the returned scale every
+    # admissible cycle of up to 10 letters is a unique expansion.
+    from gasket_spectrum.expansions import is_unique_expansion
+
+    q = CAPPED_KL.hi + offset
+    spec = sft_spec(q)
+    bad = [c for c in CYCLES_UP_TO_10 if not is_unique_expansion(_cycle_seq(spec.letters, c), q)]
+    assert not bad, (spec.n, bad)
+
+
+def test_one_cycle_verdict_matches_every_short_cycle():
+    from gasket_spectrum.expansions import is_unique_expansion
+
+    rng = random.Random(31)
+    near = [CAPPED_KL.hi + Fraction(rng.randint(1, 999), 10 ** rng.randint(6, 40)) for _ in range(6)]
+    far = [CAPPED_KL.hi + Fraction(1, 1000) + Fraction(rng.randint(1, 10 ** 6), 10 ** 6) *
+           (3 - CAPPED_KL.hi - Fraction(1, 1000)) for _ in range(6)]
+    verdicts = set()
+    for q in near + far:
+        for n in range(1, 6):
+            letters = sft_letters(n)
+            one = is_unique_expansion(_cycle_seq(letters, SFT_MAX_CYCLE), q)
+            every = all(is_unique_expansion(_cycle_seq(letters, c), q) for c in CYCLES_UP_TO_10)
+            assert one == every, (float(q), n)
+            verdicts.add(one)
+    assert verdicts == {True, False}  # the grid holds both outcomes
+
+
+def test_letter_order_and_greedy_successors_at_every_scale():
+    # The facts the proof in sft_spec's docstring rests on.
+    greedy = {"a": "abar", "abar": "bbar", "bbar": "a", "b": "abar"}
+    for n in range(1, SFT_MAX_N + 1):
+        letters = sft_letters(n)
+        assert letters["bbar"] > letters["a"] > letters["abar"] > letters["b"], n
+        assert {u: max(vs, key=letters.get) for u, vs in SFT_NEXT.items()} == greedy
+        assert letters["a"][1:] == letters["b"][1:]
+        assert letters["a"][-1] == letters["b"][-1] and letters["abar"][-1] == letters["bbar"][-1]
+    assert all(greedy[u] == v for u, v in zip(SFT_MAX_CYCLE, SFT_MAX_CYCLE[1:] + SFT_MAX_CYCLE[:1]))
+    assert set(SFT_MAX_CYCLE) == {"a", "abar", "bbar"}
+
+
+SCALE_TABLE = (
+    [pytest.param(Fraction(s), 1, id=s) for s in ("2.6", "2.75", "2.9", "2.99")]
+    + [pytest.param(CAPPED_KL.hi + Fraction(m, 10 ** k), n, id=f"KL+{m}e-{k}")
+       for m, k, n in ((1, 4, 1), (1, 6, 3), (6, 5, 3), (1, 20, 5), (1, 70, 7), (1, 100, 7),
+                       (1, 150, 7), (1, 270, 9), (1, 300, 9), (1, 350, 9), (1, 400, 9),
+                       (1, 430, 9))])
+
+
+@pytest.mark.parametrize("q, n", SCALE_TABLE)
+def test_sft_spec_scale_table(q, n):
+    s = spectrum_of(q)
+    assert s.interval.sft_n == n
+    # oracle: the densities of the two extremal words are A(n + 1) < A(n)
+    assert (s.interval.lo_density, s.interval.hi_density) == (
+        alternating_density(n + 1), alternating_density(n))
+
+
+def test_sft_spec_tests_one_cycle_per_scale(monkeypatch):
+    from gasket_spectrum import expansions
+
+    calls = []
+    real = expansions.is_unique_expansion
+    monkeypatch.setattr(expansions, "is_unique_expansion",
+                        lambda seq, q: calls.append(seq) or real(seq, q))
+    for q, n in ((Fraction("2.6"), 1), (CAPPED_KL.hi + Fraction(1, 10 ** 20), 5)):
+        calls.clear()
+        assert sft_spec(q).n == n
+        assert calls == [_cycle_seq(sft_letters(k), SFT_MAX_CYCLE) for k in range(1, n + 1)]
+
+
+def test_sft_spec_past_its_scale_cap_raises(monkeypatch):
+    from gasket_spectrum import spectrum
+
+    monkeypatch.setattr(spectrum, "SFT_MAX_N", 4)  # KL + 1e-20 needs scale 5
+    with pytest.raises(CapabilityError, match="^no letter scale 1..4 embeds the subshift"):
+        sft_spec(CAPPED_KL.hi + Fraction(1, 10 ** 20))
+
+
+def test_sft_spec_at_the_closest_rational_above_the_capped_kl_is_bounded():
+    # The nearest a rational base comes above the capped enclosure.
+    start = time.perf_counter()
+    s = spectrum_of(CAPPED_KL.hi + Fraction(1, 10 ** 470))
+    elapsed = time.perf_counter() - start
+    assert (s.interval.sft_n, s.interval.lo_density, s.interval.hi_density) == (
+        9, Fraction(341, 1024), Fraction(171, 512))
+    assert elapsed < 2.0
+
+
 def test_sft_densities_formulas():
     # At every scale sft_spec may pick, both extremal words are matched and
     # the counted densities are (2z+1)/2^(n+1) < (2z+2)/2^(n+1), z the number
     # of zeros among the first 2^n - 1 difference terms: the order that
     # sft_densities proves rather than checks.
-    from gasket_spectrum.spectrum import SFT_MAX_N, SFTSpec
+    from gasket_spectrum.spectrum import SFTSpec
     for n in range(1, SFT_MAX_N + 1):
         spec = SFTSpec(n=n, letters=sft_letters(n))
         assert all(analyze(u).matched for u in sft_pair_words(spec)), n
